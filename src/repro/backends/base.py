@@ -210,13 +210,21 @@ def execute_loop(
 
     scatter_args(writebacks, global_sink=global_sink)
     if bump_versions:
-        # Once per distinct dat: a dat named by two writing args of one loop
-        # (res through two map columns) is still a single write event.
-        seen: set[int] = set()
-        for arg in loop.args:
-            if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
-                seen.add(id(arg.dat))
-                arg.dat.bump_version()
+        bump_written_versions(loop)
+
+
+def bump_written_versions(loop: ParLoop) -> None:
+    """Bump the version of each *distinct* written dat exactly once.
+
+    A dat passed through two args of one loop (e.g. ``res`` via two map
+    columns) must not be double-bumped: dependence invalidation counts
+    writes per loop, not per argument.
+    """
+    seen: set[int] = set()
+    for arg in loop.args:
+        if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
+            seen.add(id(arg.dat))
+            arg.dat.bump_version()
 
 
 def execute_loop_by_plan(loop: ParLoop, plan: "Plan", mode: str = "vectorized") -> None:
@@ -261,15 +269,13 @@ class Backend(ABC):
 
         Color classes run as sequential fork-join batches; blocks of one
         color execute concurrently (they write disjoint rows by plan
-        coloring). Synchronous backends return ``None``; async flavors
-        override this to return an already-completed future so application
-        drivers keep their sync structure.
+        coloring). Synchronous backends return ``None``; the async flavors
+        override this with dependency-released scheduling and return the
+        loop's future.
         """
-        from repro.backends.threaded import run_loop_threaded
+        from repro.backends.threaded import run_forkjoin
 
-        run_loop_threaded(
-            rt, loop, plan, self._thread_chunker(rt), mode=self._exec_mode(rt)
-        )
+        run_forkjoin(rt.thread_pool, rt.obs, loop, plan, self._thread_chunker(rt))
         return None
 
     def finalize(self, rt: "Op2Runtime") -> None:
@@ -292,13 +298,3 @@ class Backend(ABC):
         cost_model: "Any",
     ) -> "TaskGraph":
         """Emit the simulator task graph for a recorded run at ``num_threads``."""
-
-    def _exec_mode(self, rt: "Op2Runtime") -> str:
-        return "vectorized"
-
-    def run_functional(self, rt: "Op2Runtime", loop: ParLoop, plan: "Plan") -> None:
-        """Shared functional execution honoring the runtime's granularity."""
-        if rt.granularity == "block":
-            execute_loop_by_plan(loop, plan, mode=self._exec_mode(rt))
-        else:
-            execute_loop(loop, mode=self._exec_mode(rt))

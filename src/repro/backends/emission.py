@@ -70,35 +70,3 @@ def emit_static_color_class(
             tails.append(prev)
     return tails
 
-
-def emit_dynamic_blocks(
-    graph: TaskGraph,
-    rec: LoopRecord,
-    blocks: list[int],
-    costs: list[float],
-    entry_deps: list[int],
-    mem_fraction: float,
-    extra_deps: dict[int, list[int]] | None = None,
-) -> list[int]:
-    """Emit blocks as work-stealing tasks (no affinity). Returns task ids.
-
-    ``extra_deps`` maps a block id to additional dependency task ids (the
-    dataflow emitter's block-level producer edges).
-    """
-    tids: list[int] = []
-    for b in blocks:
-        deps = list(entry_deps)
-        if extra_deps is not None:
-            deps.extend(extra_deps.get(b, ()))
-        tids.append(
-            graph.add(
-                f"{rec.loop.name}[{rec.loop_id}].blk{b}",
-                costs[b],
-                deps,
-                affinity=None,
-                kind="work",
-                loop=rec.loop.name,
-                mem_fraction=mem_fraction,
-            )
-        )
-    return tids

@@ -75,11 +75,10 @@ class ForEachBackend(Backend):
     ) -> None:
         from repro.backends.base import execute_loop
 
-        mode = self._exec_mode(rt)
         policy = par.with_(self._chunker())
         for color_blocks in plan.classes:
             def body(block_index: int, _blocks=color_blocks) -> None:
-                execute_loop(loop, plan.block_elements(_blocks[block_index]), mode=mode)
+                execute_loop(loop, plan.block_elements(_blocks[block_index]))
 
             # for_each(par, ...) joins before returning: fork-join semantics.
             for_each(policy, range(len(color_blocks)), body)

@@ -54,15 +54,13 @@ class HpxAsyncBackend(Backend):
     def run_loop(
         self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
     ) -> Future:
-        mode = self._exec_mode(rt)
-
         if loop.is_direct or plan.ncolors == 1:
             # Paper Fig 8/9: one bulk for_each(par(task)) suffices; chunks of
             # a single color never conflict.
             blocks = plan.classes[0] if plan.classes else []
 
             def body(i: int) -> None:
-                execute_loop(loop, plan.block_elements(blocks[i]), mode=mode)
+                execute_loop(loop, plan.block_elements(blocks[i]))
 
             result = for_each(par_task, range(len(blocks)), body)
             assert isinstance(result, Future)
@@ -74,7 +72,7 @@ class HpxAsyncBackend(Backend):
         def orchestrate() -> None:
             for color_blocks in plan.classes:
                 def body(i: int, _blocks=color_blocks) -> None:
-                    execute_loop(loop, plan.block_elements(_blocks[i]), mode=mode)
+                    execute_loop(loop, plan.block_elements(_blocks[i]))
 
                 for_each(par, range(len(color_blocks)), body)
 
@@ -90,7 +88,7 @@ class HpxAsyncBackend(Backend):
         # join. Conflicting loops are ordered at loop granularity (the
         # dataflow backend refines to block level).
         return self._scheduler(rt).schedule(
-            loop, plan, self._thread_chunker(rt), self._exec_mode(rt), loop_id
+            loop, plan, self._thread_chunker(rt), loop_id
         )
 
     def finalize(self, rt: Op2Runtime) -> None:

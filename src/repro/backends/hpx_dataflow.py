@@ -22,23 +22,17 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.backends.base import Backend, execute_loop
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
 from repro.backends.emission import add_gate, record_block_costs
 from repro.hpx.dataflow import dataflow
 from repro.hpx.future import Future
-from repro.op2.dat import OpDat
 from repro.op2.deps import DatDependencyTracker
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
 from repro.op2.runtime import LoopLog, LoopRecord, Op2Runtime
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
-
-# Shared with the measured scheduler; the emitter keeps this alias.
-_hazard_dats = hazard_dats
 
 
 class HpxDataflowBackend(Backend):
@@ -68,12 +62,11 @@ class HpxDataflowBackend(Backend):
     def run_loop(
         self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
     ) -> Future:
-        mode = self._exec_mode(rt)
         dep_ids = self.tracker.dependencies(list(loop.args), token=loop_id)
         dep_futures = [self._futures[d] for d in dep_ids if d in self._futures]
 
         def body(*_ready: Any) -> None:
-            execute_loop(loop, mode=mode)
+            execute_loop(loop)
 
         result = dataflow(body, *dep_futures, name=f"dataflow.{loop.name}")
         self._futures[loop_id] = result
@@ -89,7 +82,7 @@ class HpxDataflowBackend(Backend):
         # across timestep boundaries. No per-loop or per-color join exists
         # anywhere on this path.
         return self._scheduler(rt).schedule(
-            loop, plan, self._thread_chunker(rt), self._exec_mode(rt), loop_id
+            loop, plan, self._thread_chunker(rt), loop_id
         )
 
     def finalize(self, rt: Op2Runtime) -> None:
@@ -110,12 +103,6 @@ class HpxDataflowBackend(Backend):
             self._sched.cancel()
 
     # -- emission ------------------------------------------------------------
-
-    def _block_deps(
-        self, producer: LoopRecord, consumer: LoopRecord, dat: OpDat
-    ) -> list[np.ndarray]:
-        """Cached consumer-block -> producer-block relation (P-independent)."""
-        return self._blockdep_cache.get(producer, consumer, dat)
 
     def emit(
         self,
@@ -140,13 +127,13 @@ class HpxDataflowBackend(Backend):
             fallback: set[int] = set()
             for pid in dep_ids:
                 producer = rec_by_id[pid]
-                shared = _hazard_dats(producer, rec)
+                shared = hazard_dats(producer, rec)
                 if not shared:
                     fallback.add(gate_of[pid])
                     continue
                 ptids = block_tids[pid]
                 for dat in shared:
-                    refined = self._block_deps(producer, rec, dat)
+                    refined = self._blockdep_cache.get(producer, rec, dat)
                     for b, producer_blocks in enumerate(refined):
                         if len(producer_blocks) == 0:
                             continue

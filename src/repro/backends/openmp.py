@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, execute_loop
 from repro.backends.emission import emit_static_color_class, record_block_costs
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
@@ -32,7 +32,7 @@ class OpenMPBackend(Backend):
     ) -> None:
         # Functionally, fork-join over blocks in color order is just ordered
         # execution; the numerical result matches the reference exactly.
-        self.run_functional(rt, loop, plan)
+        execute_loop(loop)
         return None
 
     def emit(

@@ -1,14 +1,12 @@
-"""Dependency-driven scheduling of measured (``threads``-mode) loops.
+"""Dependency-released scheduling of the backends' threads-mode loops.
 
-This is the measured-mode counterpart of the dataflow emitter: instead of a
-per-loop sequence of fork-join color batches, every chunk of every loop is
-handed to :meth:`~repro.hpx.threadpool.ThreadPoolEngine.submit_after` with
+Instead of a per-loop sequence of fork-join color batches, every chunk of
+every loop goes through :func:`~repro.backends.threaded.submit_colors` with
 exactly the predecessor tasks it conflicts with, and is *released* to the
 pool the instant those complete. No color of one loop ever waits for an
 unrelated chunk of another loop — the paper's barrier elimination, on real
-OS threads rather than in the simulator.
-
-Two refinement levels share this scheduler:
+OS threads rather than in the simulator. What this module adds to the shared
+runner is how a loop finds its predecessors, at one of two levels:
 
 - **loop level** (``refine_blocks=False``, the async backend): a consumer
   chunk waits for the *finalizer* of each producer loop it conflicts with.
@@ -21,31 +19,24 @@ Two refinement levels share this scheduler:
   start while late chunks of its producer are still running — the Fig 18
   execution tree.
 
-Determinism contract (same worker count ⇒ bit-identical results):
+Determinism contract (same worker count ⇒ bit-identical results): the
+decomposition and the fold order are the shared runner's; the dependence
+tracker runs with ``ordered_increments=True`` because floating-point ``+=``
+streams commute only mathematically, not bitwise; finalizers of loops
+reducing into the same global, or writing the same dat, are chained in
+program order, so folds and version bumps never race.
 
-- the decomposition (plans, colors, chunks) is wall-clock independent;
-- global MIN/MAX/INC partials are folded by the loop's finalizer in chunk
-  *submission* order, and finalizers of loops reducing into the same global
-  are chained in program order;
-- the dependence tracker runs with ``ordered_increments=True``: two loops
-  incrementing the same dat are ordered by dependency edges, because
-  floating-point ``+=`` streams commute only mathematically, not bitwise;
-- finalizers of loops writing the same dat are chained, so version bumps
-  (plain ``int`` increments) never race.
-
-Loop finalizers run *inline* on whichever worker completes the loop's last
-chunk: they fold partials, bump dat versions once per distinct written dat,
-and record the loop's wall-clock aggregates. The application only ever
-blocks in ``rt.sync(...)`` / ``rt.finish()``.
+Loop finalizers run the shared epilogue *inline* on whichever worker
+completes the loop's last chunk. The application only ever blocks in
+``rt.sync(...)`` / ``rt.finish()``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backends.base import apply_global_partials
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
-from repro.backends.threaded import _run_spans, bump_written_versions, chunk_spans
+from repro.backends.threaded import color_chunks, finish_loop, submit_colors
 from repro.hpx.threadpool import PoolFuture, PoolTask
 from repro.op2.access import Access
 from repro.op2.dat import OpGlobal
@@ -68,20 +59,14 @@ HANDLE_RETENTION = 256
 class _LoopHandle:
     """Scheduling state of one in-flight (or recently finished) loop."""
 
-    __slots__ = ("rec", "block_task", "chunk_tasks", "final")
+    __slots__ = ("rec", "block_task", "final")
 
     def __init__(
-        self,
-        rec: LoopRecord,
-        block_task: dict[int, PoolTask],
-        chunk_tasks: list[PoolTask],
-        final: PoolTask,
+        self, rec: LoopRecord, block_task: dict[int, PoolTask], final: PoolTask
     ) -> None:
         self.rec = rec
         #: plan-wide block id -> the chunk task that executes it.
         self.block_task = block_task
-        #: every chunk task, in submission (= fold) order.
-        self.chunk_tasks = chunk_tasks
         #: inline finalizer: folds partials, bumps versions, records timing.
         self.final = final
 
@@ -174,12 +159,7 @@ class LoopScheduler:
     # -- scheduling ----------------------------------------------------------
 
     def schedule(
-        self,
-        loop: "ParLoop",
-        plan: "Plan",
-        chunker: "Chunker",
-        mode: str,
-        loop_id: int,
+        self, loop: "ParLoop", plan: "Plan", chunker: "Chunker", loop_id: int
     ) -> PoolFuture:
         """Submit every chunk of ``loop`` with its conflict-exact deps.
 
@@ -196,62 +176,17 @@ class LoopScheduler:
         per_block, fallback = self._external_deps(record, producers)
 
         t_loop = rec.now() if rec is not None else 0.0
-        chunk_tasks: list[PoolTask] = []
-        block_task: dict[int, PoolTask] = {}
-        prev_gate: PoolTask | None = None
-        first_color = True
-        ncolors = 0
-        for ci, class_blocks in enumerate(plan.classes):
-            if not class_blocks:
-                continue
-            ncolors += 1
-            color_tasks: list[PoolTask] = []
-            for k, chunk in enumerate(chunker.chunks(len(class_blocks), pool.num_workers)):
-                if not len(chunk):
-                    continue
-                spans = chunk_spans(plan, class_blocks, chunk)
-                deps: list[PoolTask] = []
-                seen: set[int] = set()
+        colors = list(color_chunks(plan, chunker, pool.num_workers))
+        tasks, gate = submit_colors(pool, loop, colors, fallback, per_block)
+        chunks = [c for _, color in colors for c in color]
+        block_task = {b: t for c, t in zip(chunks, tasks) for b in c.blocks}
 
-                def need(t: PoolTask) -> None:
-                    if id(t) not in seen:
-                        seen.add(id(t))
-                        deps.append(t)
-
-                if prev_gate is not None:
-                    need(prev_gate)
-                if first_color:
-                    # Later colors inherit the fallbacks transitively through
-                    # the previous color's gate.
-                    for t in fallback:
-                        need(t)
-                for bi in class_blocks[chunk.start : chunk.stop]:
-                    bucket = per_block.get(bi)
-                    if bucket:
-                        for t in bucket.values():
-                            need(t)
-                task = pool.submit_after(
-                    lambda s=spans: _run_spans(loop, s, mode),
-                    deps,
-                    loop=loop.name,
-                    color=ci,
-                    index=k,
-                )
-                for bi in class_blocks[chunk.start : chunk.stop]:
-                    block_task[bi] = task
-                color_tasks.append(task)
-                chunk_tasks.append(task)
-            first_color = False
-            if len(color_tasks) == 1:
-                prev_gate = color_tasks[0]
-            elif color_tasks:
-                prev_gate = pool.gate(color_tasks, loop=loop.name, color=ci)
-
-        final_deps: list[PoolTask] = list(chunk_tasks)
-        if not chunk_tasks:
+        if gate is not None:
+            final_deps = [gate]
+        else:
             # Empty iteration space: the finalizer still carries the loop's
             # ordering obligations (it is what successors will wait on).
-            final_deps.extend(fallback)
+            final_deps = list(fallback)
             for bucket in per_block.values():
                 final_deps.extend(bucket.values())
         gate_globals: list[int] = []
@@ -270,41 +205,21 @@ class LoopScheduler:
             if prev is not None:
                 final_deps.append(prev)
 
-        ntasks = len(chunk_tasks)
-
-        def finish() -> None:
-            partials = []
-            for t in chunk_tasks:  # submission order = deterministic fold
-                partials.extend(t.value())
-            if rec is not None and partials:
-                t0 = rec.now()
-                apply_global_partials(partials)
-                fold_s = rec.now() - t0
-                rec.span(
-                    f"{loop.name}.fold", "fold", loop.name, t0, t0 + fold_s,
-                    busy=True,
-                )
-            else:
-                fold_s = 0.0
-                apply_global_partials(partials)
-            bump_written_versions(loop)
-            if rec is not None:
-                end = rec.now()
-                rec.span(loop.name, "loop", loop.name, t_loop, end)
-                _count, task_s = rec.take_task_totals(loop.name)
-                rec.record_loop(
-                    loop.name, end - t_loop, ncolors, ntasks, task_s, 0.0, fold_s
-                )
-
         final = pool.submit_after(
-            finish, final_deps, inline=True, loop=loop.name
+            lambda: finish_loop(
+                rec, loop, (t.value() for t in tasks), t_loop, loop.name,
+                len(colors), len(tasks),
+            ),
+            final_deps,
+            inline=True,
+            loop=loop.name,
         )
         for gid in gate_globals:
             self._global_gates[gid] = final
         for did in gate_dats:
             self._dat_gates[did] = final
 
-        self.handles[loop_id] = _LoopHandle(record, block_task, chunk_tasks, final)
+        self.handles[loop_id] = _LoopHandle(record, block_task, final)
         self._prune()
         return PoolFuture(final, pool, name=f"threads.{loop.name}")
 
@@ -338,10 +253,7 @@ class LoopScheduler:
         finals = [h.final for h in self.handles.values() if not h.final.done()]
         if finals:
             self.rt.thread_pool.wait_all(finals, loop="finalize")
-        self.handles.clear()
-        self._global_gates.clear()
-        self._dat_gates.clear()
-        self.tracker.reset()
+        self.cancel()
 
     def cancel(self) -> None:
         """Drop scheduling state after an aborted session (no waiting).

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, execute_loop
 from repro.backends.emission import record_block_costs
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
@@ -22,7 +22,7 @@ class SeqBackend(Backend):
     def run_loop(
         self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
     ) -> None:
-        self.run_functional(rt, loop, plan)
+        execute_loop(loop)
         return None
 
     def run_loop_threads(

@@ -1,226 +1,175 @@
-"""The shared real-thread execution driver (``mode="threads"``).
+"""The threads-mode loop runner under every real-thread execution shape.
 
-Every backend's :meth:`~repro.backends.base.Backend.run_loop_threads` lands
-here. One ``op_par_loop`` executes as follows:
+The backends' fork-join (``openmp``, ``foreach*``) and dependency-released
+(``hpx_async``, ``hpx_dataflow``) loops and the per-rank engine's
+:class:`~repro.engine.executors.ForkJoinExecutor` /
+:class:`~repro.engine.executors.DependencyExecutor` all execute a loop with
+the same four pieces; they differ only in the scheduling policy around them,
+which is the paper's experimental variable:
 
-1. the plan's color classes run **sequentially** (colors are the correctness
-   barrier for indirect reductions);
-2. within a color class, the backend's chunker splits the class's block list
-   into chunks; each chunk becomes one pool task. Contiguous blocks inside a
-   chunk are merged into single element *spans*, so a direct loop (one color,
-   contiguous blocks) turns into a handful of large ``execute_loop`` slices —
-   exactly the grain numpy needs to release the GIL for meaningful stretches;
-3. serial-prefix chunks (the auto partitioner's measurement pass) run inline
-   on the calling thread *before* the parallel chunks are submitted, and are
-   *timed*: the measured per-iteration cost feeds back into the chunker to
-   size the remaining chunks (HPX ``auto_partitioner`` semantics);
-4. a ``dynamic`` chunker (``DynamicChunkSize``) keeps the identical
-   decomposition but hands chunks out on demand from a shared index
-   (self-scheduling): ``min(workers, chunks)`` puller tasks drain the chunk
-   list, storing each chunk's partials into its own slot;
-5. global MIN/MAX/INC reductions are **deferred**: each task returns its
-   batch partials, and the calling thread folds them in chunk-submission
-   order (never completion order) — repeated runs with the same worker count
-   are therefore bit-identical, and dynamic scheduling bit-matches static.
+1. :func:`color_chunks` — the decomposition. Color classes run in plan order;
+   the backend's chunker splits each class's blocks into chunks, one pool
+   task each. Over a whole set, contiguous blocks of a chunk merge into
+   ``slice`` spans (a direct loop becomes a handful of large slices — the
+   grain numpy needs to release the GIL for meaningful stretches). Over a
+   sorted subset, each block is clipped to the subset ids inside it, blocks
+   left empty drop out, and a chunk is one index array.
+2. :func:`run_chunk` — the chunk body: ``execute_loop`` with global partials
+   sent to a sink and no version bump.
+3. :func:`submit_colors` — the dependency shape: a color-gated
+   ``submit_after`` chain; the caller adds entry and per-block deps.
+4. :func:`finish_loop` — the epilogue: fold partials in submission order,
+   bump each distinct written dat once, write the loop span, record the loop.
+
+:func:`run_forkjoin` is the fork-join shape: one ``run_batch`` per color,
+with the auto partitioner's timed serial prefix run inline first and a
+``dynamic`` chunker's chunks pulled on demand (same decomposition and fold
+order, so dynamic bit-matches static).
 
 Why this is race-free:
 
 - same-color blocks touch disjoint indirect-reduction rows (plan coloring,
   property-tested in ``tests/property/test_prop_threaded_race.py``);
-- direct writes target each task's own element spans, which are disjoint by
+- direct writes target each task's own elements, which are disjoint by
   construction (chunks partition the class);
-- globals are never written from worker threads (deferral above);
-- dat version counters are bumped once per loop by the calling thread, not
-  from workers.
+- globals are never written from worker threads (deferred partials);
+- dat version counters are bumped once per loop by the epilogue, not per
+  chunk.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends.base import apply_global_partials, execute_loop
+from repro.backends.base import (
+    apply_global_partials,
+    bump_written_versions,
+    execute_loop,
+)
 from repro.hpx.chunking import Chunk, Chunker
-from repro.hpx.threadpool import ThreadPoolEngine
+from repro.hpx.threadpool import PoolTask, ThreadPoolEngine
 from repro.op2.args import Arg
+from repro.op2.exceptions import PlanError
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.runtime import Op2Runtime
+    from repro.obs.recorder import TraceRecorder
+
+Partials = list[tuple[Arg, np.ndarray]]
 
 
 @dataclass(frozen=True)
-class Span:
-    """A contiguous ``[start, stop)`` element range executed as one batch."""
+class LoopChunk:
+    """One pool task's share of a color class."""
 
-    start: int
-    stop: int
+    #: plan block ids the chunk covers, in plan order.
+    blocks: list[int]
+    #: element selections for ``execute_loop``: slices, or one index array.
+    work: list[slice | np.ndarray]
 
-    def __len__(self) -> int:
-        return self.stop - self.start
 
+def chunk_spans(plan: Plan, blocks: list[int]) -> list[slice]:
+    """Merge plan blocks into maximal contiguous element slices.
 
-def chunk_spans(plan: Plan, class_blocks: list[int], chunk: Chunk) -> list[Span]:
-    """Merge the chunk's plan blocks into maximal contiguous element spans.
-
-    ``class_blocks[chunk.start:chunk.stop]`` names blocks of one color; for
-    direct loops these are contiguous and collapse into a single span, for
-    colored indirect loops same-color blocks are scattered and mostly stay
-    one span per block.
+    Blocks of a direct loop are contiguous and collapse into one slice; the
+    same-color blocks of a colored indirect loop are scattered and mostly
+    stay one slice per block.
     """
-    spans: list[Span] = []
-    for bi in class_blocks[chunk.start : chunk.stop]:
+    spans: list[slice] = []
+    for bi in blocks:
         b = plan.blocks[bi]
         if spans and spans[-1].stop == b.start:
-            spans[-1] = Span(spans[-1].start, b.stop)
+            spans[-1] = slice(spans[-1].start, b.stop)
         else:
-            spans.append(Span(b.start, b.stop))
+            spans.append(slice(b.start, b.stop))
     return spans
 
 
-def _run_spans(
-    loop: ParLoop, spans: list[Span], mode: str
-) -> list[tuple[Arg, np.ndarray]]:
-    """Execute the task's spans; return deferred global partials in order."""
-    partials: list[tuple[Arg, np.ndarray]] = []
-    for span in spans:
-        execute_loop(
-            loop,
-            slice(span.start, span.stop),
-            mode=mode,
-            global_sink=partials,
-            bump_versions=False,
-        )
+def _clip(
+    plan: Plan, class_blocks: list[int], subset: np.ndarray
+) -> tuple[list[int], list[np.ndarray]]:
+    """The class's blocks holding subset ids, and those ids per block.
+
+    Same-color pieces inherit the plan's disjoint-target guarantee — a
+    subset of a block increments a subset of the block's targets.
+    """
+    bounds = [(plan.blocks[b].start, plan.blocks[b].stop) for b in class_blocks]
+    cuts = np.searchsorted(subset, bounds, side="left").tolist()
+    kept = [(b, lo, hi) for b, (lo, hi) in zip(class_blocks, cuts) if hi > lo]
+    return [b for b, _, _ in kept], [subset[lo:hi] for _, lo, hi in kept]
+
+
+def color_chunks(
+    plan: Plan,
+    chunker: Chunker,
+    num_workers: int,
+    subset: np.ndarray | None = None,
+    measure: Callable[[int, LoopChunk], float] | None = None,
+) -> Iterator[tuple[int, list[LoopChunk]]]:
+    """Yield ``(color, chunks)`` for every color class with work, in order.
+
+    The decomposition depends only on (plan, subset, chunker, workers), so
+    the fold order it fixes is identical across runs. ``measure(color,
+    chunk)`` executes a measuring chunker's serial prefix inline and returns
+    its seconds; that prefix is then left out of the yielded chunks. The
+    generator is lazy so the prefix of color ``c`` runs only after the caller
+    finished color ``c - 1``.
+    """
+    if subset is not None and np.any(np.diff(subset) < 0):
+        raise PlanError("a chunked subset must be sorted ascending")
+    for ci, class_blocks in enumerate(plan.classes):
+        if subset is None:
+            blocks, pieces = class_blocks, None
+        else:
+            blocks, pieces = _clip(plan, class_blocks, subset)
+        if not blocks:
+            continue
+
+        def take(c: Chunk) -> LoopChunk:
+            ids = blocks[c.start : c.stop]
+            if pieces is None:
+                return LoopChunk(ids, chunk_spans(plan, ids))
+            return LoopChunk(ids, [np.concatenate(pieces[c.start : c.stop])])
+
+        timed = None if measure is None else (lambda c: measure(ci, take(c)))
+        chunks = chunker.split(len(blocks), num_workers, measure=timed)
+        yield ci, [
+            take(c) for c in chunks if len(c) and (timed is None or not c.serial_prefix)
+        ]
+
+
+def run_chunk(loop: ParLoop, chunk: LoopChunk) -> Partials:
+    """Pool-task body: execute one chunk, return its deferred global partials."""
+    partials: Partials = []
+    for elements in chunk.work:
+        execute_loop(loop, elements, global_sink=partials, bump_versions=False)
     return partials
 
 
-def _run_dynamic(
-    pool: ThreadPoolEngine,
+def finish_loop(
+    rec: TraceRecorder | None,
     loop: ParLoop,
-    work: list[list[Span]],
-    mode: str,
-    color: int,
-) -> list[list[tuple[Arg, np.ndarray]]]:
-    """Self-scheduling: pullers drain a shared chunk index on demand.
-
-    Each chunk's partials land in the slot matching its *chunk index*, so
-    the caller folds them in decomposition order and the result bit-matches
-    the statically pre-assigned schedule regardless of which worker ran
-    which chunk.
-    """
-    slots: list[list[tuple[Arg, np.ndarray]] | None] = [None] * len(work)
-    state = {"next": 0}
-    lock = threading.Lock()
-
-    def pull() -> None:
-        while True:
-            with lock:
-                i = state["next"]
-                if i >= len(work):
-                    return
-                state["next"] = i + 1
-            slots[i] = _run_spans(loop, work[i], mode)
-
-    width = min(pool.num_workers, len(work))
-    pool.run_batch([pull for _ in range(width)], loop=loop.name, color=color)
-    assert all(s is not None for s in slots)
-    return slots  # type: ignore[return-value]
-
-
-def bump_written_versions(loop: ParLoop) -> None:
-    """Bump the version of each *distinct* written dat exactly once.
-
-    A dat passed through two args of one loop (e.g. ``res`` via two map
-    columns) must not be double-bumped: dependence invalidation counts
-    writes per loop, not per argument.
-    """
-    seen: set[int] = set()
-    for arg in loop.args:
-        if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
-            seen.add(id(arg.dat))
-            arg.dat.bump_version()
-
-
-def run_loop_threaded(
-    rt: "Op2Runtime",
-    loop: ParLoop,
-    plan: Plan,
-    chunker: Chunker,
-    mode: str = "vectorized",
+    results: Iterable[Partials],
+    t_loop: float,
+    label: str,
+    ncolors: int,
+    ntasks: int,
+    prefix_s: float = 0.0,
 ) -> None:
-    """Execute ``loop`` under ``plan`` on the runtime's real thread pool.
+    """The loop epilogue, on whichever thread completes the loop.
 
-    When the runtime carries a :class:`~repro.obs.recorder.TraceRecorder`
-    (``rt.obs``), the orchestrating thread records per-loop and per-color
-    spans plus serial-prefix and reduction-fold attribution; the pool's
-    workers record their own task spans. Without a recorder every hook is a
-    single ``is not None`` check.
+    ``results`` are the chunks' partials in submission order — never
+    completion order — so repeated runs with the same worker count fold
+    MIN/MAX/INC reductions bit-identically.
     """
-    pool = rt.thread_pool
-    rec = rt.obs
-    partials: list[tuple[Arg, np.ndarray]] = []
-    t_loop = rec.now() if rec is not None else 0.0
-    ncolors = 0
-    ntasks = 0
-    prefix_s = 0.0
-
-    for ci, class_blocks in enumerate(plan.classes):
-        if not class_blocks:
-            continue
-        ncolors += 1
-        t_color = rec.now() if rec is not None else 0.0
-
-        def run_prefix(chunk: Chunk, _blocks=class_blocks, _ci=ci) -> float:
-            # HPX's auto partitioner: the measurement pass runs inline on the
-            # caller before any parallel chunk is spawned, and its wall time
-            # is what the chunker sizes the remaining chunks from.
-            nonlocal prefix_s
-            spans = chunk_spans(plan, _blocks, chunk)
-            t0 = perf_counter()
-            partials.extend(_run_spans(loop, spans, mode))
-            elapsed = perf_counter() - t0
-            if rec is not None:
-                prefix_s += elapsed
-                t1 = rec.now()
-                rec.span(
-                    f"{loop.name}.c{_ci}.prefix", "prefix", loop.name,
-                    t1 - elapsed, t1, color=_ci, busy=True,
-                )
-            return elapsed
-
-        chunks = chunker.split(len(class_blocks), pool.num_workers, measure=run_prefix)
-        work = [
-            chunk_spans(plan, class_blocks, c)
-            for c in chunks
-            if not c.serial_prefix and len(c)
-        ]
-        if chunker.dynamic and work:
-            results = _run_dynamic(pool, loop, work, mode, color=ci)
-            ntasks += min(pool.num_workers, len(work))
-        else:
-            # One fork-join batch per color: run_batch returns in submission
-            # order only after every task finished (the color barrier).
-            results = pool.run_batch(
-                [lambda s=s: _run_spans(loop, s, mode) for s in work],
-                loop=loop.name,
-                color=ci,
-            )
-            ntasks += len(work)
-        for task_partials in results:
-            partials.extend(task_partials)
-        if rec is not None:
-            rec.span(
-                f"{loop.name}.c{ci}", "color", loop.name,
-                t_color, rec.now(), color=ci,
-            )
-
-    # Deferred side effects, applied deterministically by the calling thread
-    # (one version bump per distinct written dat, as execute_loop does).
+    partials = [p for chunk_partials in results for p in chunk_partials]
     fold_s = 0.0
     if rec is not None and partials:
         t0 = rec.now()
@@ -231,9 +180,146 @@ def run_loop_threaded(
         apply_global_partials(partials)
     bump_written_versions(loop)
     if rec is not None:
-        rec.span(loop.name, "loop", loop.name, t_loop, rec.now())
+        end = rec.now()
+        rec.span(label, "loop", loop.name, t_loop, end)
         _count, task_s = rec.take_task_totals(loop.name)
         rec.record_loop(
-            loop.name, rec.now() - t_loop, ncolors, ntasks,
-            task_s, prefix_s, fold_s,
+            loop.name, end - t_loop, ncolors, ntasks, task_s, prefix_s, fold_s
         )
+
+
+def _run_dynamic(
+    pool: ThreadPoolEngine, loop: ParLoop, chunks: list[LoopChunk], color: int
+) -> list[Partials]:
+    """Self-scheduling: pullers drain a shared chunk index on demand.
+
+    Each chunk's partials land in the slot matching its *chunk index*, so
+    the epilogue folds them in decomposition order regardless of which
+    worker ran which chunk.
+    """
+    slots: list[Partials | None] = [None] * len(chunks)
+    state = {"next": 0}
+    lock = threading.Lock()
+
+    def pull() -> None:
+        while True:
+            with lock:
+                i = state["next"]
+                if i >= len(chunks):
+                    return
+                state["next"] = i + 1
+            slots[i] = run_chunk(loop, chunks[i])
+
+    width = min(pool.num_workers, len(chunks))
+    pool.run_batch([pull for _ in range(width)], loop=loop.name, color=color)
+    assert all(s is not None for s in slots)
+    return slots  # type: ignore[return-value]
+
+
+def run_forkjoin(
+    pool: ThreadPoolEngine,
+    rec: TraceRecorder | None,
+    loop: ParLoop,
+    plan: Plan,
+    chunker: Chunker,
+    subset: np.ndarray | None = None,
+    label: str | None = None,
+) -> None:
+    """Run ``loop`` as one fork-join batch per color class on ``pool``.
+
+    ``run_batch`` returns only after every task of the color finished (the
+    color barrier). With a recorder, the calling thread also records
+    per-color spans and the serial prefix; workers record their task spans.
+    """
+    results: list[Partials] = []
+    prefix_s = 0.0
+    ncolors = 0
+    ntasks = 0
+
+    def run_prefix(ci: int, chunk: LoopChunk) -> float:
+        # HPX's auto partitioner: the measurement pass runs inline on the
+        # caller before any parallel chunk is spawned, and its wall time is
+        # what the chunker sizes the remaining chunks from.
+        nonlocal prefix_s
+        t0 = perf_counter()
+        results.append(run_chunk(loop, chunk))
+        elapsed = perf_counter() - t0
+        if rec is not None:
+            prefix_s += elapsed
+            t1 = rec.now()
+            rec.span(
+                f"{loop.name}.c{ci}.prefix", "prefix", loop.name,
+                t1 - elapsed, t1, color=ci, busy=True,
+            )
+        return elapsed
+
+    t_loop = t_color = rec.now() if rec is not None else 0.0
+    for ci, chunks in color_chunks(plan, chunker, pool.num_workers, subset, run_prefix):
+        ncolors += 1
+        if chunker.dynamic and chunks:
+            results.extend(_run_dynamic(pool, loop, chunks, ci))
+            ntasks += min(pool.num_workers, len(chunks))
+        else:
+            results.extend(
+                pool.run_batch(
+                    [lambda c=c: run_chunk(loop, c) for c in chunks],
+                    loop=loop.name,
+                    color=ci,
+                )
+            )
+            ntasks += len(chunks)
+        if rec is not None:
+            now = rec.now()
+            rec.span(f"{loop.name}.c{ci}", "color", loop.name, t_color, now, color=ci)
+            t_color = now
+    finish_loop(
+        rec, loop, results, t_loop, label or loop.name, ncolors, ntasks, prefix_s
+    )
+
+
+def submit_colors(
+    pool: ThreadPoolEngine,
+    loop: ParLoop,
+    colors: Iterable[tuple[int, list[LoopChunk]]],
+    entry: Iterable[PoolTask] = (),
+    block_deps: dict[int, dict[int, PoolTask]] | None = None,
+) -> tuple[list[PoolTask], PoolTask | None]:
+    """Submit every chunk as a dependency-released task; nothing blocks.
+
+    Color ``c`` waits on color ``c - 1``'s gate (colors are the correctness
+    barrier for indirect reductions); a single-task color is its own gate,
+    larger ones get an inline :meth:`~ThreadPoolEngine.gate`. The first
+    color also waits on ``entry``; later colors inherit it through the
+    gates. ``block_deps`` maps a plan block id to ``{id(task): task}``
+    producers that any chunk holding the block must also wait on.
+
+    Returns the chunk tasks in submission (= fold) order and the last gate
+    (``None`` when nothing was submitted).
+    """
+    tasks: list[PoolTask] = []
+    gate: PoolTask | None = None
+    for ci, chunks in colors:
+        if not chunks:
+            continue
+        color_tasks: list[PoolTask] = []
+        for k, chunk in enumerate(chunks):
+            deps = {id(t): t for t in (entry if gate is None else (gate,))}
+            if block_deps:
+                for bi in chunk.blocks:
+                    deps.update(block_deps.get(bi, {}))
+            color_tasks.append(
+                pool.submit_after(
+                    lambda c=chunk: run_chunk(loop, c),
+                    list(deps.values()),
+                    loop=loop.name,
+                    color=ci,
+                    index=k,
+                )
+            )
+        tasks.extend(color_tasks)
+        gate = (
+            color_tasks[0]
+            if len(color_tasks) == 1
+            else pool.gate(color_tasks, loop=loop.name, color=ci)
+        )
+    return tasks, gate

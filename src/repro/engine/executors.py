@@ -11,20 +11,20 @@ same (program, bindings) pair:
     (``threads_per_rank=1``), byte-identical to the old hand-written
     drivers;
 :class:`ForkJoinExecutor`
-    each loop step forks into per-color chunk batches on a
-    :class:`~repro.hpx.threadpool.ThreadPoolEngine` and joins before the
-    next step — the MPI+OpenMP shape (a barrier per loop, blocking
-    exchanges on the orchestrator);
+    program order too, but each loop step forks into one batch per color
+    and joins before the next step — the MPI+OpenMP shape (a barrier per
+    loop, blocking exchanges on the orchestrator);
 :class:`DependencyExecutor`
     the whole program is scheduled up front as dependency-released pool
-    tasks using the program's derived edges; exchange waits occupy one
-    worker while every step with no path from a ``halo``/``chan`` token
-    keeps computing underneath — the HPX-dataflow shape, measured.
+    tasks entered from the finalizers of each step's derived predecessors;
+    exchange waits occupy one worker while every step with no path from a
+    ``halo``/``chan`` token keeps computing underneath — the HPX-dataflow
+    shape, measured.
 
-Determinism contract (all executors): global MIN/MAX/INC partials are
-folded in static chunk order, never completion order; conflicting steps are
-ordered by derived edges; chunk decomposition depends only on (plan,
-subset). Repeated runs with the same configuration are bit-identical.
+The two pool executors are scheduling policies over the threads-mode loop
+runner (:mod:`repro.backends.threaded`): they decompose, execute chunks and
+fold exactly as an ``openmp`` threads-mode session does on the same mesh,
+block size and width, so the runner's determinism contract is theirs.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends.base import apply_global_partials, execute_loop
-from repro.backends.threaded import bump_written_versions
-from repro.engine.program import ExchangeStep, LoopProgram, LoopStep, Step
+from repro.backends.base import execute_loop
+from repro.backends.threaded import color_chunks, finish_loop, run_forkjoin, submit_colors
+from repro.engine.program import ExchangeStep, LoopProgram, LoopStep
+from repro.hpx.chunking import GuessChunkSize
 from repro.hpx.threadpool import PoolTask, ThreadPoolEngine
 from repro.obs.recorder import TraceRecorder
 from repro.op2.parloop import ParLoop
-from repro.op2.plan import DEFAULT_BLOCK_SIZE, Plan, build_plan, subset_color_pieces
+from repro.op2.plan import DEFAULT_BLOCK_SIZE, Plan, PlanCache
 from repro.util.validate import ValidationError
 
 
@@ -134,105 +135,44 @@ class SerialExecutor:
                 b.exchange(step)
                 rec.span(label, kind, "exchange", t0, rec.now())
                 continue
-            loop = b.loops[step.name]
             elements = b.elements(step)
-            if elements is not None and len(elements) == 0:
-                continue
-            if rec is None:
-                execute_loop(loop, elements)
-                continue
-            t0 = rec.now()
+            if elements is None or len(elements):
+                self._run_loop(step, b.loops[step.name], elements, rec)
+
+    def _run_loop(
+        self,
+        step: LoopStep,
+        loop: ParLoop,
+        elements: np.ndarray | None,
+        rec: TraceRecorder | None,
+    ) -> None:
+        if rec is None:
             execute_loop(loop, elements)
-            end = rec.now()
-            label = step.name if step.subset is None else f"{step.name}.part"
-            rec.span(label, "loop", step.name, t0, end, busy=True)
-            rec.record_loop(step.name, end - t0, 1, 1)
+            return
+        t0 = rec.now()
+        execute_loop(loop, elements)
+        end = rec.now()
+        label = step.name if step.subset is None else f"{step.name}.part"
+        rec.span(label, "loop", step.name, t0, end, busy=True)
+        rec.record_loop(step.name, end - t0, 1, 1)
 
 
-class _ChunkedLoops:
-    """Shared chunk decomposition cache for the threaded executors.
+class _PoolExecutor:
+    """A pool plus the ``openmp`` backend's decomposition: plans and chunker."""
 
-    Per (loop, subset): the plan's color classes restricted to the subset and
-    regrouped into at most ``width`` chunks per color. Depends only on static
-    inputs, so the decomposition — and therefore the reduction fold order —
-    is identical across runs.
-    """
-
-    def __init__(self, width: int, block_size: int) -> None:
-        self.width = max(1, int(width))
+    def __init__(
+        self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
+    ) -> None:
+        self.pool = pool
         self.block_size = int(block_size)
-        self._plans: dict[str, Plan] = {}
-        self._chunks: dict[tuple[str, str | None], list[tuple[int, list[np.ndarray]]]] = {}
+        self.plans = PlanCache()
+        self.chunker = GuessChunkSize()
 
-    def plan(self, loop: ParLoop) -> Plan:
-        p = self._plans.get(loop.name)
-        if p is None:
-            p = self._plans[loop.name] = build_plan(
-                loop.set_, list(loop.args), self.block_size
-            )
-        return p
-
-    def chunks(
-        self, step: LoopStep, loop: ParLoop, b: ProgramBindings
-    ) -> list[tuple[int, list[np.ndarray]]]:
-        """[(color, [chunk element ids, ...]), ...] for one loop step."""
-        key = (step.name, step.subset)
-        cached = self._chunks.get(key)
-        if cached is not None:
-            return cached
-        plan = self.plan(loop)
-        elements = b.elements(step)
-        out: list[tuple[int, list[np.ndarray]]] = []
-        if not plan.colored:
-            if elements is None:
-                elements = np.arange(loop.set_.size, dtype=np.int64)
-            if len(elements):
-                pieces = np.array_split(elements, min(self.width, len(elements)))
-                out.append((0, [p for p in pieces if len(p)]))
-        else:
-            for ci, pieces in enumerate(subset_color_pieces(plan, elements)):
-                if pieces:
-                    out.append((ci, _regroup(pieces, self.width)))
-        self._chunks[key] = out
-        return out
+    def _plan(self, loop: ParLoop) -> Plan:
+        return self.plans.get(loop.set_, list(loop.args), self.block_size)
 
 
-def _regroup(pieces: list[np.ndarray], width: int) -> list[np.ndarray]:
-    """Merge same-color pieces into at most ``width`` balanced chunks.
-
-    Pieces stay in block order and chunks are contiguous runs of pieces, so
-    every chunk is a sorted id array and the decomposition is static.
-    """
-    total = sum(len(p) for p in pieces)
-    if len(pieces) <= width:
-        return [p for p in pieces if len(p)]
-    target = max(1, -(-total // width))
-    chunks: list[np.ndarray] = []
-    bucket: list[np.ndarray] = []
-    filled = 0
-    for p in pieces:
-        if not len(p):
-            continue
-        bucket.append(p)
-        filled += len(p)
-        if filled >= target and len(chunks) < width - 1:
-            chunks.append(np.concatenate(bucket))
-            bucket, filled = [], 0
-    if bucket:
-        chunks.append(np.concatenate(bucket))
-    return chunks
-
-
-def _run_chunk(loop: ParLoop, elements: np.ndarray) -> list:
-    """Pool-task body: execute one chunk, return its deferred partials."""
-    partials: list = []
-    execute_loop(
-        loop, elements, global_sink=partials, bump_versions=False
-    )
-    return partials
-
-
-class ForkJoinExecutor:
+class ForkJoinExecutor(_PoolExecutor, SerialExecutor):
     """Per-loop fork-join on a thread pool; blocking exchanges in between.
 
     This is the measured MPI+OpenMP baseline shape: colors run as barrier-
@@ -242,64 +182,28 @@ class ForkJoinExecutor:
 
     name = "forkjoin"
 
-    def __init__(
-        self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
+    def _run_loop(
+        self,
+        step: LoopStep,
+        loop: ParLoop,
+        elements: np.ndarray | None,
+        rec: TraceRecorder | None,
     ) -> None:
-        self.pool = pool
-        self._chunked = _ChunkedLoops(pool.num_workers, block_size)
-
-    def run(self, program: LoopProgram, b: ProgramBindings) -> None:
-        rec = b.recorder
-        for step in program.steps:
-            if isinstance(step, ExchangeStep):
-                if rec is None:
-                    b.exchange(step)
-                    continue
-                label, kind = _exchange_span(step)
-                t0 = rec.now()
-                b.exchange(step)
-                rec.span(label, kind, "exchange", t0, rec.now())
-                continue
-            self._run_loop(step, b)
-
-    def _run_loop(self, step: LoopStep, b: ProgramBindings) -> None:
-        rec = b.recorder
-        loop = b.loops[step.name]
-        colors = self._chunked.chunks(step, loop, b)
-        if not colors:
-            return
-        t0 = rec.now() if rec is not None else 0.0
-        partials: list = []
-        ncolors = 0
-        ntasks = 0
-        for ci, chunks in colors:
-            ncolors += 1
-            ntasks += len(chunks)
-            results = self.pool.run_batch(
-                [lambda c=c: _run_chunk(loop, c) for c in chunks],
-                loop=step.name,
-                color=ci,
-            )
-            for task_partials in results:
-                partials.extend(task_partials)
-        apply_global_partials(partials)
-        bump_written_versions(loop)
-        if rec is not None:
-            end = rec.now()
-            rec.span(step.label, "loop", step.name, t0, end)
-            _count, task_s = rec.take_task_totals(step.name)
-            rec.record_loop(step.name, end - t0, ncolors, ntasks, task_s)
+        run_forkjoin(
+            self.pool, rec, loop, self._plan(loop), self.chunker, elements, step.label
+        )
 
 
-class DependencyExecutor:
+class DependencyExecutor(_PoolExecutor):
     """Whole-program dependency scheduling on a thread pool.
 
-    Every step becomes a small task graph (chunk tasks per color, an inline
-    gate per color, an inline finalizer folding the reduction partials) whose
-    roots depend on the *finalizers of the step's derived predecessors* —
-    nothing else. Exchange steps run as single pool tasks, so a wait occupies
-    one worker while released compute fills the rest: communication hides
-    behind computation exactly where the program's footprints allow it.
+    Every loop step becomes the runner's color-gated chain of chunk tasks
+    plus an inline finalizer running the epilogue; the chain's first color
+    depends on the *finalizers of the step's derived predecessors* —
+    nothing else. Exchange steps run as single pool tasks, so a wait
+    occupies one worker while released compute fills the rest:
+    communication hides behind computation exactly where the program's
+    footprints allow it.
     """
 
     name = "dependency"
@@ -307,8 +211,7 @@ class DependencyExecutor:
     def __init__(
         self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> None:
-        self.pool = pool
-        self._chunked = _ChunkedLoops(pool.num_workers, block_size)
+        super().__init__(pool, block_size)
         self._edges: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def run(self, program: LoopProgram, b: ProgramBindings) -> None:
@@ -321,7 +224,7 @@ class DependencyExecutor:
             if isinstance(step, ExchangeStep):
                 finals.append(
                     self.pool.submit_after(
-                        lambda s=step: b.exchange(s), deps, loop=s_label(step)
+                        lambda s=step: b.exchange(s), deps, loop=step.label
                     )
                 )
             else:
@@ -337,52 +240,23 @@ class DependencyExecutor:
         pool = self.pool
         rec = b.recorder
         loop = b.loops[step.name]
-        colors = self._chunked.chunks(step, loop, b)
-        if not colors:
+        elements = b.elements(step)
+        if elements is not None and not len(elements):
             return pool.gate(deps, loop=step.label)
-        t0 = rec.now() if rec is not None else 0.0
-        prev: list[PoolTask] = deps
-        all_tasks: list[PoolTask] = []
-        ncolors = 0
-        ntasks = 0
-        for ci, chunks in colors:
-            ncolors += 1
-            tasks = [
-                pool.submit_after(
-                    lambda c=c: _run_chunk(loop, c),
-                    prev,
-                    loop=step.name,
-                    color=ci,
-                    index=k,
-                )
-                for k, c in enumerate(chunks)
-            ]
-            all_tasks.extend(tasks)
-            ntasks += len(tasks)
-            # Colors are the correctness barrier for indirect reductions;
-            # an inline gate releases the next color with no pool join.
-            prev = [pool.gate(tasks, loop=step.name, color=ci)]
-
-        def finalize() -> None:
-            partials: list = []
-            for task in all_tasks:
-                partials.extend(task.value())
-            apply_global_partials(partials)
-            bump_written_versions(loop)
-            if rec is not None:
-                end = rec.now()
-                _count, task_s = rec.take_task_totals(step.name)
-                rec.record_loop(
-                    step.name, end - t0, ncolors, ntasks, task_s
-                )
-
-        return pool.submit_after(
-            finalize, prev, loop=f"{step.label}.fin", inline=True
+        t_loop = rec.now() if rec is not None else 0.0
+        colors = list(
+            color_chunks(self._plan(loop), self.chunker, pool.num_workers, elements)
         )
-
-
-def s_label(step: Step) -> str:
-    return step.label
+        tasks, gate = submit_colors(pool, loop, colors, deps)
+        return pool.submit_after(
+            lambda: finish_loop(
+                rec, loop, (t.value() for t in tasks), t_loop, step.label,
+                len(colors), len(tasks),
+            ),
+            deps if gate is None else [gate],
+            loop=f"{step.label}.fin",
+            inline=True,
+        )
 
 
 def make_executor(

@@ -126,42 +126,6 @@ def build_plan(
     )
 
 
-def subset_color_pieces(
-    plan: Plan, subset: np.ndarray | None
-) -> list[list[np.ndarray]]:
-    """Restrict a colored plan to an iteration subset, block by block.
-
-    Returns, per color class, the subset's element ids falling inside each
-    of the class's blocks (empty pieces dropped). Same-color pieces inherit
-    the plan's disjoint-target guarantee — a subset of a block increments a
-    subset of the block's targets — so they may run concurrently; distinct
-    colors must still be barrier-separated. ``subset=None`` means the whole
-    set (each piece is the full block range).
-
-    ``subset`` must be sorted ascending: pieces are cut with binary searches
-    against the block bounds.
-    """
-    if subset is not None:
-        subset = np.asarray(subset)
-        if subset.size and np.any(np.diff(subset) < 0):
-            raise PlanError("subset_color_pieces requires a sorted subset")
-    out: list[list[np.ndarray]] = []
-    for class_blocks in plan.classes:
-        pieces: list[np.ndarray] = []
-        for bi in class_blocks:
-            b = plan.blocks[bi]
-            if subset is None:
-                piece = np.arange(b.start, b.stop, dtype=np.int64)
-            else:
-                lo = int(np.searchsorted(subset, b.start, side="left"))
-                hi = int(np.searchsorted(subset, b.stop, side="left"))
-                piece = subset[lo:hi]
-            if len(piece):
-                pieces.append(piece)
-        out.append(pieces)
-    return out
-
-
 class PlanCache:
     """Memoizes plans by loop shape, as the OP2 runtime does.
 

@@ -85,7 +85,6 @@ class Op2Runtime:
         backend: str = "seq",
         num_threads: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        granularity: str = "set",
         config: RuntimeConfig | None = None,
         backend_options: dict | None = None,
     ) -> None:
@@ -93,15 +92,10 @@ class Op2Runtime:
 
         check_positive("num_threads", num_threads)
         check_positive("block_size", block_size)
-        if granularity not in ("set", "block"):
-            raise Op2Error(
-                f"granularity must be 'set' or 'block', got {granularity!r}"
-            )
         self.backend_name = backend
         self.backend = create_backend(backend, **(backend_options or {}))
         self.num_threads = int(num_threads)
         self.block_size = int(block_size)
-        self.granularity = granularity
         self.config = config if config is not None else RuntimeConfig()
         self.num_workers = self.config.resolve_workers(self.num_threads)
         self.hpx = HPXRuntime(self.num_threads)
@@ -278,7 +272,6 @@ def op2_session(
     backend: str = "seq",
     num_threads: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    granularity: str = "set",
     mode: str = "sim",
     num_workers: int | None = None,
     num_ranks: int | None = None,
@@ -307,7 +300,6 @@ def op2_session(
         backend=backend,
         num_threads=num_threads,
         block_size=block_size,
-        granularity=granularity,
         config=RuntimeConfig(
             mode=mode,
             num_workers=num_workers,

@@ -74,19 +74,6 @@ class TestThreadCountInvariance:
         assert norms[0] == pytest.approx(norms[2])
 
 
-class TestBlockGranularity:
-    @pytest.mark.parametrize("backend", ["seq", "openmp"])
-    def test_block_granularity_matches_reference(
-        self, backend, small_mesh_module, reference
-    ):
-        with op2_session(
-            backend=backend, num_threads=2, block_size=16, granularity="block"
-        ) as rt:
-            app = AirfoilApp(small_mesh_module)
-            app.run(rt, NITER)
-        compare_states(app, reference, tol=1e-9)
-
-
 class TestAsyncSemantics:
     def test_async_backend_returns_futures(self, small_mesh_module):
         from repro.hpx.future import Future

@@ -10,9 +10,6 @@ fixes that ride along (single version bump per writing loop, honored
 dynamic self-scheduling).
 """
 
-import json
-import sys
-
 import numpy as np
 import pytest
 
@@ -116,45 +113,37 @@ class TestHeatConformance:
 
 
 class TestOverlap:
-    def test_trace_shows_wall_clock_overlap_between_loops(self, tiny_mesh, tmp_path):
-        """At least one pair of task spans from *different* loops overlaps.
+    def test_consumer_chunk_waits_on_producer_subset(self, tiny_mesh):
+        """Some consumer chunk waits on a strict subset of its producer's chunks.
 
-        Under fork-join execution every loop fully drains before the next
-        starts, so cross-loop overlap is impossible; dependency scheduling
-        releases independent chunks concurrently. A short thread switch
-        interval gives the single-core CI host a fair chance to interleave.
+        Under fork-join every loop fully drains before the next starts;
+        block-refined dependency scheduling releases a consumer chunk as soon
+        as the producer chunks that touched its rows are done, so it can
+        start while the producer's other chunks still run. Asserted on the
+        recorded task graph: wall-clock overlap depends on host load.
         """
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            with op2_session(
-                backend="hpx_dataflow",
-                num_threads=WORKERS,
-                block_size=16,
-                mode="threads",
-                num_workers=WORKERS,
-                trace=True,
-            ) as rt:
-                app = AirfoilApp(tiny_mesh)
-                app.run(rt, NITER)
-        finally:
-            sys.setswitchinterval(old_interval)
-        path = tmp_path / "overlap.json"
-        rt.export_trace(path)
-        events = json.loads(path.read_text())
-        spans = [
-            (e["args"]["loop"], e["ts"], e["ts"] + e["dur"])
-            for e in events
-            if e.get("ph") == "X" and e.get("args", {}).get("kind") == "task"
-        ]
-        spans.sort(key=lambda s: s[1])
-        overlapping = [
-            (a[0], b[0])
-            for i, a in enumerate(spans)
-            for b in spans[i + 1 :]
-            if b[1] < a[2] and a[0] != b[0]
-        ]
-        assert overlapping, "no pair of distinct loops ran concurrently"
+        with op2_session(
+            backend="hpx_dataflow",
+            num_threads=WORKERS,
+            block_size=16,
+            mode="threads",
+            num_workers=WORKERS,
+        ) as rt:
+            rt.thread_pool.keep_history = True
+            app = AirfoilApp(tiny_mesh)
+            for step in app.program:
+                getattr(app, f"loop_{step.name}")()
+            # Snapshot before the session's finish() clears the handles.
+            handles = list(rt.backend._sched.handles.values())
+        early = []
+        for i, consumer in enumerate(handles):
+            for producer in handles[:i]:
+                chunks = {id(t) for t in producer.block_task.values()}
+                for task in consumer.block_task.values():
+                    waited = {id(d) for d in task.deps} & chunks
+                    if waited and waited != chunks and producer.final not in task.deps:
+                        early.append((producer.rec.loop.name, consumer.rec.loop.name))
+        assert early, "no consumer chunk can start before its producer finishes"
 
 
 class TestVersionBumps:

@@ -9,7 +9,7 @@ scheduled runs must be bit-identical (static chunking + static fold order).
 import numpy as np
 import pytest
 
-from repro.airfoil import ReferenceAirfoil, generate_mesh
+from repro.airfoil import AirfoilApp, ReferenceAirfoil, generate_mesh
 from repro.airfoil.constants import DEFAULT_CONSTANTS
 from repro.airfoil.kernels import make_kernels
 from repro.dist.app import build_rank_state
@@ -22,7 +22,7 @@ from repro.engine.executors import (
 )
 from repro.engine.program import ExchangeStep, LoopProgram, LoopStep
 from repro.hpx.threadpool import ThreadPoolEngine
-from repro.op2 import OpGlobal
+from repro.op2 import OpGlobal, op2_session
 from repro.procs.worker import split_boundary
 from repro.util.validate import ValidationError
 
@@ -95,6 +95,52 @@ class TestExecutorEquivalence:
             results.append((state.q.copy(), float(state.rms.value())))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
+
+
+class TestSharedDecomposition:
+    """The pool executors run loops through the threads-mode runner.
+
+    On the same mesh, block size and width they decompose, execute and fold
+    exactly as an ``openmp`` threads-mode session: the same pool tasks per
+    timestep and the same bits.
+    """
+
+    BLOCK_SIZE = 16
+    WIDTH = 2
+
+    @pytest.fixture(scope="class")
+    def openmp_session(self, mesh):
+        with op2_session(
+            backend="openmp",
+            num_threads=self.WIDTH,
+            block_size=self.BLOCK_SIZE,
+            mode="threads",
+            num_workers=self.WIDTH,
+        ) as rt:
+            app = AirfoilApp(mesh)
+            app.run(rt, NITER)
+        return app, rt.pool_stats.tasks_submitted / NITER
+
+    def engine_run(self, mesh, executor_cls):
+        with ThreadPoolEngine(self.WIDTH) as pool:
+            state = run_program(
+                mesh, lambda: executor_cls(pool, block_size=self.BLOCK_SIZE)
+            )
+            return state, pool.stats.tasks_submitted / NITER
+
+    def test_forkjoin_matches_openmp_session(self, mesh, openmp_session):
+        app, tasks_per_step = openmp_session
+        state, engine_tasks = self.engine_run(mesh, ForkJoinExecutor)
+        assert engine_tasks == tasks_per_step > 0
+        assert np.array_equal(state.q, app.p_q.data)
+        assert state.rms.value() == app.g_rms.value()
+
+    def test_dependency_matches_forkjoin(self, mesh):
+        fj, fj_tasks = self.engine_run(mesh, ForkJoinExecutor)
+        dep, dep_tasks = self.engine_run(mesh, DependencyExecutor)
+        assert dep_tasks == fj_tasks > 0
+        assert np.array_equal(dep.q, fj.q)
+        assert dep.rms.value() == fj.rms.value()
 
 
 class TestMakeExecutor:

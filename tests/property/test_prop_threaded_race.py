@@ -7,15 +7,15 @@ invariants checked here over hypothesis-generated meshes:
 1. no two blocks sharing a color write to a common target row through *any*
    indirect-reduction map argument (multiple maps and multiple target dats
    included);
-2. the chunker/span machinery hands each pool task a disjoint slice of the
-   color class — spans tile the class's elements exactly, so concurrent
-   direct writes never overlap either.
+2. the shared decomposition hands each pool task disjoint elements of the
+   color class — its chunks tile the class's elements (or the class's share
+   of a subset) exactly, so concurrent direct writes never overlap either.
 """
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.backends.threaded import chunk_spans
+from repro.backends.threaded import color_chunks
 from repro.hpx.chunking import (
     AutoPartitioner,
     GuessChunkSize,
@@ -88,9 +88,14 @@ def test_same_color_blocks_write_disjoint_rows(world, block_size):
     st.integers(1, 24),
     st.integers(1, 8),
     st.sampled_from(["guess", "static", "auto"]),
+    st.data(),
 )
-def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind):
-    """Pool tasks receive disjoint element spans covering the class exactly."""
+def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind, data):
+    """Pool tasks receive disjoint elements covering the class exactly.
+
+    Holds for the whole set (slice spans) and for a sorted subset (one
+    index array per chunk, blocks without subset ids dropped).
+    """
     from_set, maps, args = world
     plan = build_plan(from_set, args, block_size=block_size)
     chunker = {
@@ -98,20 +103,29 @@ def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind):
         "static": StaticChunkSize(2),
         "auto": AutoPartitioner(),
     }[kind]
-    for cls in plan.classes:
-        if not cls:
-            continue
-        chunks = chunker.chunks(len(cls), workers)
-        elements: list[int] = []
+    subset = None
+    if data.draw(st.booleans()):
+        mask = data.draw(
+            st.lists(st.booleans(), min_size=from_set.size, max_size=from_set.size)
+        )
+        subset = np.flatnonzero(mask)
+    executed: dict[int, list[int]] = {}
+    for ci, chunks in color_chunks(plan, chunker, workers, subset):
+        assert chunks and ci not in executed
+        executed[ci] = []
         for chunk in chunks:
-            for span in chunk_spans(plan, list(cls), chunk):
-                assert span.stop > span.start
-                elements.extend(range(span.start, span.stop))
+            for sel in chunk.work:
+                ids = np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
+                assert len(ids)
+                executed[ci].extend(int(e) for e in ids)
+    for ci, cls in enumerate(plan.classes):
         expected = sorted(
             e
             for b in cls
             for e in range(plan.blocks[b].start, plan.blocks[b].stop)
+            if subset is None or e in subset
         )
+        elements = executed.get(ci, [])
         # Tiling (no element lost) + disjointness (no element duplicated).
         assert sorted(elements) == expected
         assert len(elements) == len(set(elements))
