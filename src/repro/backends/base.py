@@ -183,7 +183,7 @@ def execute_loop(
     if elements is None:
         elements = slice(0, loop.set_.size)
     if isinstance(elements, slice):
-        n = (elements.stop or loop.set_.size) - (elements.start or 0)
+        n = len(range(*elements.indices(loop.set_.size)))
     else:
         n = len(elements)
     if n == 0:

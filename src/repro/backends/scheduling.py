@@ -17,7 +17,9 @@ runner is how a loop finds its predecessors, at one of two levels:
   chunks wait only for the producer *blocks* that touched the same dat rows
   (:mod:`repro.backends.blockdeps`), so the first chunks of a dependent loop
   start while late chunks of its producer are still running — the Fig 18
-  execution tree.
+  execution tree. Each cached block relation is resolved once per pair of
+  chunk decompositions into producer *chunk positions*, so a steady step
+  does one lookup per chunk rather than a walk over every block edge.
 
 Determinism contract (same worker count ⇒ bit-identical results): the
 decomposition and the fold order are the shared runner's; the dependence
@@ -33,7 +35,10 @@ completes the loop's last chunk. The application only ever blocks in
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
 from repro.backends.threaded import color_chunks, finish_loop, submit_colors
@@ -56,19 +61,38 @@ if TYPE_CHECKING:  # pragma: no cover
 HANDLE_RETENTION = 256
 
 
+class _Layout:
+    """A loop's chunk decomposition: chunk ``i`` runs plan blocks ``chunks[i]``."""
+
+    __slots__ = ("chunks", "chunk_of_block")
+
+    def __init__(self, chunks: tuple[tuple[int, ...], ...], nblocks: int) -> None:
+        self.chunks = chunks
+        #: plan block id -> position of the chunk that runs it (-1: none).
+        self.chunk_of_block = np.full(nblocks, -1, dtype=np.int64)
+        for i, blocks in enumerate(chunks):
+            self.chunk_of_block[list(blocks)] = i
+
+
 class _LoopHandle:
     """Scheduling state of one in-flight (or recently finished) loop."""
 
-    __slots__ = ("rec", "block_task", "final")
+    __slots__ = ("rec", "layout", "tasks", "final")
 
     def __init__(
-        self, rec: LoopRecord, block_task: dict[int, PoolTask], final: PoolTask
+        self, rec: LoopRecord, layout: _Layout, tasks: list[PoolTask], final: PoolTask
     ) -> None:
         self.rec = rec
-        #: plan-wide block id -> the chunk task that executes it.
-        self.block_task = block_task
+        self.layout = layout
+        #: chunk tasks in submission order: ``tasks[i]`` runs ``layout.chunks[i]``.
+        self.tasks = tasks
         #: inline finalizer: folds partials, bumps versions, records timing.
         self.final = final
+
+    @property
+    def block_task(self) -> dict[int, PoolTask]:
+        """Plan block id -> the chunk task that executes it."""
+        return {b: t for blocks, t in zip(self.layout.chunks, self.tasks) for b in blocks}
 
 
 def _global_rw(rec: LoopRecord) -> dict[int, tuple[bool, bool]]:
@@ -109,7 +133,10 @@ class LoopScheduler:
     """Schedules threads-mode loops as dependency-released pool tasks."""
 
     def __init__(self, rt: "Op2Runtime", refine_blocks: bool) -> None:
-        self.rt = rt
+        # Weak: runtime -> backend -> scheduler -> runtime would be a cycle
+        # that keeps a finished session's dats and maps alive until the next
+        # full garbage collection.
+        self._rt = weakref.ref(rt)
         self.refine_blocks = refine_blocks
         self.tracker: DatDependencyTracker[int] = DatDependencyTracker(
             ordered_increments=True
@@ -121,40 +148,69 @@ class LoopScheduler:
         #: id(dat) -> finalizer of its last writing loop (version-bump order).
         self._dat_gates: dict[int, PoolTask] = {}
         self._block_deps = BlockDepCache()
+        #: interned decompositions, keyed by (nblocks, chunk block ids).
+        self._layouts: dict[tuple, _Layout] = {}
+        #: (id(relation), id(producer layout), id(consumer layout)) ->
+        #: (relation, producer chunk positions per consumer chunk). Layouts
+        #: are interned for the scheduler's lifetime and each entry holds its
+        #: relation, so no ``id()`` in a live key can be reused.
+        self._chunk_deps: dict[tuple[int, int, int], tuple[list, list[list[int]]]] = {}
 
     # -- dependence analysis -------------------------------------------------
 
-    def _external_deps(
-        self, rec: LoopRecord, producers: list[_LoopHandle]
-    ) -> tuple[dict[int, dict[int, PoolTask]], list[PoolTask]]:
-        """Split producer edges into per-block refinements and loop fallbacks.
+    def _layout(self, plan: "Plan", colors: list) -> _Layout:
+        chunks = tuple(tuple(c.blocks) for _, color in colors for c in color)
+        key = (plan.nblocks, chunks)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = _Layout(chunks, plan.nblocks)
+        return layout
 
-        Returns ``(per_block, fallback)``: ``per_block`` maps a consumer
-        block id to the producer chunk tasks it must wait for (deduplicated
-        by task identity); ``fallback`` lists producer finalizers that must
-        precede the consumer's first color wholesale — used when refinement
-        is disabled, the loops share no dat, or a global read/write hazard
-        makes block-level ordering insufficient.
+    def _resolve(
+        self, refined: list[np.ndarray], producer: _Layout, consumer: _Layout
+    ) -> list[list[int]]:
+        """A block relation in chunk terms, once per pair of decompositions.
+
+        Entry ``i`` lists the positions of the producer chunks that consumer
+        chunk ``i`` must wait for.
         """
-        per_block: dict[int, dict[int, PoolTask]] = {}
+        key = (id(refined), id(producer), id(consumer))
+        entry = self._chunk_deps.get(key)
+        if entry is None:
+            positions = []
+            for blocks in consumer.chunks:
+                pos = producer.chunk_of_block[np.concatenate([refined[b] for b in blocks])]
+                positions.append(np.unique(pos[pos >= 0]).tolist())
+            entry = self._chunk_deps[key] = (refined, positions)
+        return entry[1]
+
+    def _external_deps(
+        self, rec: LoopRecord, layout: _Layout, producers: list[_LoopHandle]
+    ) -> tuple[list[dict[int, PoolTask]], list[PoolTask]]:
+        """Split producer edges into per-chunk refinements and loop fallbacks.
+
+        Returns ``(per_chunk, fallback)``: ``per_chunk[i]`` maps ``id(task)``
+        to each producer chunk task that chunk ``i`` of ``layout`` must wait
+        for; ``fallback`` lists producer finalizers that must precede the
+        consumer's first color wholesale — used when refinement is disabled,
+        the loops share no dat, or a global read/write hazard makes
+        block-level ordering insufficient.
+        """
+        per_chunk: list[dict[int, PoolTask]] = [{} for _ in layout.chunks]
         fallback: list[PoolTask] = []
         for handle in producers:
             shared = hazard_dats(handle.rec, rec) if self.refine_blocks else []
             if not shared or _shared_global_hazard(handle.rec, rec):
                 fallback.append(handle.final)
                 continue
-            ptasks = handle.block_task
             for dat in shared:
                 refined = self._block_deps.get(handle.rec, rec, dat)
-                for b, producer_blocks in enumerate(refined):
-                    if len(producer_blocks) == 0:
-                        continue
-                    bucket = per_block.setdefault(b, {})
-                    for j in producer_blocks:
-                        t = ptasks.get(int(j))
-                        if t is not None:
-                            bucket[id(t)] = t
-        return per_block, fallback
+                positions = self._resolve(refined, handle.layout, layout)
+                for bucket, chunk_positions in zip(per_chunk, positions):
+                    for p in chunk_positions:
+                        t = handle.tasks[p]
+                        bucket[id(t)] = t
+        return per_chunk, fallback
 
     # -- scheduling ----------------------------------------------------------
 
@@ -167,28 +223,23 @@ class LoopScheduler:
         i.e. when results (including global reductions and version bumps)
         are visible. Nothing blocks here.
         """
-        pool = self.rt.thread_pool
-        rec = self.rt.obs
+        rt = self._rt()
+        pool = rt.thread_pool
+        rec = rt.obs
         record = LoopRecord(loop_id=loop_id, loop=loop, plan=plan)
 
         dep_ids = self.tracker.dependencies(list(loop.args), token=loop_id)
         producers = [self.handles[d] for d in dep_ids if d in self.handles]
-        per_block, fallback = self._external_deps(record, producers)
+        colors = list(color_chunks(plan, chunker, pool.num_workers))
+        layout = self._layout(plan, colors)
+        per_chunk, fallback = self._external_deps(record, layout, producers)
 
         t_loop = rec.now() if rec is not None else 0.0
-        colors = list(color_chunks(plan, chunker, pool.num_workers))
-        tasks, gate = submit_colors(pool, loop, colors, fallback, per_block)
-        chunks = [c for _, color in colors for c in color]
-        block_task = {b: t for c, t in zip(chunks, tasks) for b in c.blocks}
+        tasks, gate = submit_colors(pool, loop, colors, fallback, per_chunk)
 
-        if gate is not None:
-            final_deps = [gate]
-        else:
-            # Empty iteration space: the finalizer still carries the loop's
-            # ordering obligations (it is what successors will wait on).
-            final_deps = list(fallback)
-            for bucket in per_block.values():
-                final_deps.extend(bucket.values())
+        # An empty iteration space has no chunks: the finalizer still carries
+        # the loop's ordering obligations (it is what successors wait on).
+        final_deps = [gate] if gate is not None else list(fallback)
         gate_globals: list[int] = []
         gate_dats: list[int] = []
         g_seen: set[int] = set()
@@ -219,7 +270,7 @@ class LoopScheduler:
         for did in gate_dats:
             self._dat_gates[did] = final
 
-        self.handles[loop_id] = _LoopHandle(record, block_task, final)
+        self.handles[loop_id] = _LoopHandle(record, layout, tasks, final)
         self._prune()
         return PoolFuture(final, pool, name=f"threads.{loop.name}")
 
@@ -252,7 +303,7 @@ class LoopScheduler:
         """
         finals = [h.final for h in self.handles.values() if not h.final.done()]
         if finals:
-            self.rt.thread_pool.wait_all(finals, loop="finalize")
+            self._rt().thread_pool.wait_all(finals, loop="finalize")
         self.cancel()
 
     def cancel(self) -> None:

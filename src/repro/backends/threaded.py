@@ -282,7 +282,7 @@ def submit_colors(
     loop: ParLoop,
     colors: Iterable[tuple[int, list[LoopChunk]]],
     entry: Iterable[PoolTask] = (),
-    block_deps: dict[int, dict[int, PoolTask]] | None = None,
+    chunk_deps: list[dict[int, PoolTask]] | None = None,
 ) -> tuple[list[PoolTask], PoolTask | None]:
     """Submit every chunk as a dependency-released task; nothing blocks.
 
@@ -290,8 +290,8 @@ def submit_colors(
     barrier for indirect reductions); a single-task color is its own gate,
     larger ones get an inline :meth:`~ThreadPoolEngine.gate`. The first
     color also waits on ``entry``; later colors inherit it through the
-    gates. ``block_deps`` maps a plan block id to ``{id(task): task}``
-    producers that any chunk holding the block must also wait on.
+    gates. ``chunk_deps[i]`` holds ``{id(task): task}`` producers that the
+    ``i``-th chunk in submission order must also wait on.
 
     Returns the chunk tasks in submission (= fold) order and the last gate
     (``None`` when nothing was submitted).
@@ -304,9 +304,8 @@ def submit_colors(
         color_tasks: list[PoolTask] = []
         for k, chunk in enumerate(chunks):
             deps = {id(t): t for t in (entry if gate is None else (gate,))}
-            if block_deps:
-                for bi in chunk.blocks:
-                    deps.update(block_deps.get(bi, {}))
+            if chunk_deps:
+                deps.update(chunk_deps[len(tasks) + k])
             color_tasks.append(
                 pool.submit_after(
                     lambda c=chunk: run_chunk(loop, c),

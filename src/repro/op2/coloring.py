@@ -4,6 +4,19 @@ Two blocks of an indirect loop *conflict* when they increment the same target
 element through a map (OP_INC through e.g. edges->cells): running them
 concurrently would race. OP2's plan colors the block-conflict graph and
 executes one color at a time, blocks within a color in parallel.
+
+The conflict graph is built in whole-array passes, never block by block:
+
+1. one sort of ``target * nblocks + block`` keys dedupes the (target, block)
+   references and lines each target's blocks up as one ascending run;
+2. a sweep over offsets ``k = 1, 2, ...`` pairs every run entry with the
+   entry ``k`` places later — as many passes as the longest run (a handful
+   for a mesh) over a shrinking candidate set;
+3. one more sort dedupes those block pairs, and only the distinct pairs
+   reach Python, to fill the adjacency sets.
+
+Keys are int32 whenever their range fits. Coloring is then first-fit greedy
+over the sets, in natural block order.
 """
 
 from __future__ import annotations
@@ -11,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.op2.exceptions import PlanError
+from repro.util.arrays import index_dtype, sort_unique
 
 
 def build_block_conflicts(
@@ -19,37 +33,59 @@ def build_block_conflicts(
     """Adjacency of the block-conflict graph.
 
     ``target_indices_per_block[b]`` holds the indirect target elements block
-    ``b`` increments. Blocks sharing any target are adjacent.
+    ``b`` increments (repeats allowed). Blocks sharing any target are
+    adjacent.
     """
-    nblocks = len(target_indices_per_block)
+    targets = [np.asarray(t, dtype=np.int64).ravel() for t in target_indices_per_block]
+    nblocks = len(targets)
+    if not nblocks:
+        return []
+    blocks = np.repeat(np.arange(nblocks), [len(t) for t in targets])
+    return block_conflicts(np.concatenate(targets), blocks, nblocks)
+
+
+def block_conflicts(
+    targets: np.ndarray, blocks: np.ndarray, nblocks: int
+) -> list[set[int]]:
+    """Adjacency of the block-conflict graph from flat references.
+
+    Block ``blocks[i]`` increments target ``targets[i]``; both are
+    non-negative integer arrays of one length, in any order, repeats
+    allowed.
+    """
     adjacency: list[set[int]] = [set() for _ in range(nblocks)]
-    # element -> first/previous blocks seen, via a sorted (element, block)
-    # sweep; avoids a dict of lists for large meshes.
-    pairs = []
-    for b, targets in enumerate(target_indices_per_block):
-        uniq = np.unique(np.asarray(targets, dtype=np.int64))
-        pairs.append(
-            np.stack([uniq, np.full(uniq.shape, b, dtype=np.int64)], axis=1)
-        )
-    if not pairs:
+    if targets.size == 0:
         return adjacency
-    flat = np.concatenate(pairs, axis=0)
-    order = np.lexsort((flat[:, 1], flat[:, 0]))
-    flat = flat[order]
-    start = 0
-    n = flat.shape[0]
-    while start < n:
-        element = flat[start, 0]
-        stop = start
-        while stop < n and flat[stop, 0] == element:
-            stop += 1
-        group = flat[start:stop, 1]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = int(group[i]), int(group[j])
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        start = stop
+    keys = targets.astype(index_dtype((int(targets.max()) + 1) * nblocks))
+    keys *= nblocks
+    keys += blocks
+    target_of, block_of = np.divmod(sort_unique(keys), nblocks)
+    del keys
+    # ``later[i]``: how many entries follow entry i in its target's run.
+    m = target_of.size
+    starts = np.flatnonzero(np.diff(target_of, prepend=target_of[0] - 1))
+    ends = np.append(starts[1:], m)
+    later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(1, m + 1)
+    del target_of, starts, ends
+
+    pair_dtype = index_dtype(nblocks * nblocks)
+    pairs = []
+    at = np.flatnonzero(later)
+    offset = 1
+    while at.size:
+        # Runs are ascending and deduplicated: the earlier block is smaller.
+        lo = block_of[at].astype(pair_dtype)
+        lo *= nblocks
+        lo += block_of[at + offset]
+        pairs.append(lo)
+        offset += 1
+        at = at[later[at] >= offset]
+    del block_of, later
+    if pairs:
+        lo, hi = np.divmod(sort_unique(np.concatenate(pairs)), nblocks)
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
     return adjacency
 
 

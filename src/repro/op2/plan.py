@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.op2.args import Arg
 from repro.op2.coloring import (
-    build_block_conflicts,
+    block_conflicts,
     color_classes,
     greedy_coloring,
     validate_coloring,
@@ -28,6 +28,7 @@ from repro.op2.coloring import (
 from repro.op2.exceptions import PlanError
 from repro.op2.partition import Block, contiguous_blocks, validate_blocks
 from repro.op2.set_ import OpSet
+from repro.util.arrays import index_dtype
 
 #: Default mini-partition size (elements per block), as in OP2's plans.
 DEFAULT_BLOCK_SIZE = 256
@@ -100,18 +101,14 @@ def build_plan(
             colored=False,
         )
 
-    # Targets each block increments, across every indirect reduction arg.
-    targets_per_block: list[np.ndarray] = []
-    for b in blocks:
-        pieces = []
-        for arg in reduction_args:
-            assert arg.map_ is not None
-            pieces.append(arg.map_.values[b.start : b.stop, arg.idx])
-        targets_per_block.append(
-            np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
-        )
-
-    adjacency = build_block_conflicts(targets_per_block)
+    # Every (target, block) increment reference, one map column at a time
+    # over the whole set; the conflict builder dedupes them.
+    targets = np.concatenate([arg.map_.values[:, arg.idx] for arg in reduction_args])
+    block_of = np.arange(set_.size, dtype=index_dtype(set_.size)) // block_size
+    adjacency = block_conflicts(
+        targets, np.tile(block_of, len(reduction_args)), len(blocks)
+    )
+    del targets, block_of
     colors = greedy_coloring(adjacency)
     validate_coloring(adjacency, colors)
     ncolors = max(colors, default=-1) + 1

@@ -291,3 +291,23 @@ class TestPlanDrivenExecution:
         )
         execute_loop(loop, np.array([], dtype=np.int64))
         assert out.version == 0
+
+    def test_empty_slice_noop(self, world):
+        """``slice(0, 0)`` is an empty chunk, not the whole set."""
+        cells, edges, e2c = world
+        acc = OpDat("acc", cells, 1)
+        out = OpDat("out", edges, 1)
+
+        def kv(a, d):
+            a[:] = 1.0
+            d[:] = 2.0
+
+        loop = ParLoop(
+            Kernel("t", lambda a, d: None, kv),
+            "t",
+            edges,
+            (op_arg_dat(acc, 0, e2c, OP_INC), op_arg_dat(out, -1, OP_ID, OP_WRITE)),
+        )
+        execute_loop(loop, slice(0, 0))
+        assert not acc.data.any() and not out.data.any()
+        assert acc.version == 0 and out.version == 0

@@ -10,6 +10,9 @@ fixes that ride along (single version bump per writing loop, honored
 dynamic self-scheduling).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,26 @@ class TestOverlap:
                     if waited and waited != chunks and producer.final not in task.deps:
                         early.append((producer.rec.loop.name, consumer.rec.loop.name))
         assert early, "no consumer chunk can start before its producer finishes"
+
+
+class TestSessionLifetime:
+    @pytest.mark.parametrize("backend", ["hpx_async", "hpx_dataflow"])
+    def test_finished_session_freed_without_gc(self, backend, tiny_mesh):
+        """No runtime -> backend -> scheduler -> runtime cycle: a finished
+        session's dats and maps go with its last reference, not at the next
+        garbage collection (repeated sessions otherwise grow the heap)."""
+        gc.collect()
+        gc.disable()
+        try:
+            with op2_session(
+                backend=backend, num_threads=2, block_size=16, mode="threads", num_workers=2
+            ) as rt:
+                AirfoilApp(tiny_mesh).run(rt, 1)
+            ref = weakref.ref(rt)
+            del rt
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestVersionBumps:
