@@ -77,7 +77,7 @@ def main() -> None:
     print(f"\nmeasured procs mode ({args.ranks} rank processes, shared-memory "
           "dats, pipe halo exchanges):")
     mtable = Table(["schedule", "wall ms", "max |q - q_ref|", "halo msgs"])
-    fitted = None
+    fit = None
     for schedule in ("blocking", "overlapped"):
         res = run_procs(
             mesh,
@@ -86,12 +86,10 @@ def main() -> None:
         err = float(np.abs(res.q - ref.q).max())
         msgs = (res.comm["messages_updated"] + res.comm["messages_accumulated"])
         mtable.add_row([schedule, res.wall_seconds * 1e3, f"{err:.2e}", msgs])
-        fitted = res.fitted_comm
+        fit = res.comm_fit_text()
     print(mtable.render())
-    if fitted is not None:
-        print(f"  fitted comm model from observed messages: "
-              f"latency {fitted.latency:.3f} us, "
-              f"bandwidth {fitted.bandwidth:.1f} MB/s")
+    if fit is not None:
+        print(f"  fitted comm model from observed messages: {fit}")
 
 
 if __name__ == "__main__":

@@ -9,13 +9,19 @@ which is the paper's experimental variable:
 
 1. :func:`color_chunks` — the decomposition. Color classes run in plan order;
    the backend's chunker splits each class's blocks into chunks, one pool
-   task each. Over a whole set, contiguous blocks of a chunk merge into
-   ``slice`` spans (a direct loop becomes a handful of large slices — the
-   grain numpy needs to release the GIL for meaningful stretches). Over a
-   sorted subset, each block is clipped to the subset ids inside it, blocks
-   left empty drop out, and a chunk is one index array.
-2. :func:`run_chunk` — the chunk body: ``execute_loop`` with global partials
-   sent to a sink and no version bump.
+   task each, and a chunk's elements are one selection. Over a whole set, a
+   colored chunk is a view of the plan's class-ordered element array
+   (:attr:`~repro.op2.plan.Plan.order`) and an uncolored one a ``slice``, so
+   every chunk is one large numpy batch — the grain numpy needs to release
+   the GIL for meaningful stretches. Over a sorted subset, each block is
+   clipped to the subset ids inside it, blocks left empty drop out, and a
+   chunk is the pieces concatenated.
+2. :func:`run_chunk` — the chunk body: one ``execute_loop`` with global
+   partials sent to a sink and no version bump. Running a colored chunk's
+   blocks as one batch is bit-identical to running them one by one:
+   same-color blocks increment disjoint rows and ``np.add.at`` applies
+   increments in index order, so every row gets the same increments in the
+   same order.
 3. :func:`submit_colors` — the dependency shape: a color-gated
    ``submit_after`` chain; the caller adds entry and per-block deps.
 4. :func:`finish_loop` — the epilogue: fold partials in submission order,
@@ -71,25 +77,8 @@ class LoopChunk:
 
     #: plan block ids the chunk covers, in plan order.
     blocks: list[int]
-    #: element selections for ``execute_loop``: slices, or one index array.
-    work: list[slice | np.ndarray]
-
-
-def chunk_spans(plan: Plan, blocks: list[int]) -> list[slice]:
-    """Merge plan blocks into maximal contiguous element slices.
-
-    Blocks of a direct loop are contiguous and collapse into one slice; the
-    same-color blocks of a colored indirect loop are scattered and mostly
-    stay one slice per block.
-    """
-    spans: list[slice] = []
-    for bi in blocks:
-        b = plan.blocks[bi]
-        if spans and spans[-1].stop == b.start:
-            spans[-1] = slice(spans[-1].start, b.stop)
-        else:
-            spans.append(slice(b.start, b.stop))
-    return spans
+    #: the chunk's elements, in ``blocks`` order: a slice or an index array.
+    elements: slice | np.ndarray
 
 
 def _clip(
@@ -124,19 +113,23 @@ def color_chunks(
     """
     if subset is not None and np.any(np.diff(subset) < 0):
         raise PlanError("a chunked subset must be sorted ascending")
+    first = 0  # class position of the class's first block
     for ci, class_blocks in enumerate(plan.classes):
         if subset is None:
             blocks, pieces = class_blocks, None
         else:
             blocks, pieces = _clip(plan, class_blocks, subset)
+        base, first = first, first + len(class_blocks)
         if not blocks:
             continue
 
         def take(c: Chunk) -> LoopChunk:
             ids = blocks[c.start : c.stop]
-            if pieces is None:
-                return LoopChunk(ids, chunk_spans(plan, ids))
-            return LoopChunk(ids, [np.concatenate(pieces[c.start : c.stop])])
+            if pieces is not None:
+                return LoopChunk(ids, np.concatenate(pieces[c.start : c.stop]))
+            lo = int(plan.offsets[base + c.start])
+            hi = int(plan.offsets[base + c.stop])
+            return LoopChunk(ids, plan.order[lo:hi] if plan.colored else slice(lo, hi))
 
         timed = None if measure is None else (lambda c: measure(ci, take(c)))
         chunks = chunker.split(len(blocks), num_workers, measure=timed)
@@ -148,8 +141,7 @@ def color_chunks(
 def run_chunk(loop: ParLoop, chunk: LoopChunk) -> Partials:
     """Pool-task body: execute one chunk, return its deferred global partials."""
     partials: Partials = []
-    for elements in chunk.work:
-        execute_loop(loop, elements, global_sink=partials, bump_versions=False)
+    execute_loop(loop, chunk.elements, global_sink=partials, bump_versions=False)
     return partials
 
 

@@ -297,15 +297,9 @@ def _cmd_dist_procs(args: argparse.Namespace) -> int:
             print(f"trace: merged per-rank lanes into {res.trace_path}")
     print(f"procs: {layout} x {args.iters} iters on {mesh.summary()}")
     print(table.render())
-    if last is not None and last.fitted_comm is not None:
-        fc = last.fitted_comm
-        print(
-            f"fitted comm model: latency {fc.latency:.3f} us, "
-            f"bandwidth {fc.bandwidth:.1f} MB/s "
-            f"({len(last.reports)} ranks, "
-            f"{last.comm.get('messages_updated', 0) + last.comm.get('messages_accumulated', 0)}"
-            " messages observed)"
-        )
+    fit = None if last is None else last.comm_fit_text()
+    if fit is not None:
+        print(f"fitted comm model: {fit} ({len(last.reports)} ranks)")
     if status:
         print("VALIDATION FAILED: procs solution diverged from single-rank solver")
     return status

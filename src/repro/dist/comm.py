@@ -49,7 +49,7 @@ class CommModel:
 
 def fit_comm_model(
     nbytes: Sequence[int], seconds: Sequence[float]
-) -> CommModel:
+) -> CommModel | None:
     """Least-squares alpha-beta fit of measured per-message latencies.
 
     ``nbytes[i]``/``seconds[i]`` describe one observed message (size, time
@@ -57,9 +57,11 @@ def fit_comm_model(
     pack costs keep their defaults (the measured time already includes the
     endpoints, so a calibrated model is an upper envelope for the wire).
 
-    Degenerate inputs degrade gracefully: with fewer than two distinct
-    message sizes the slope is unidentifiable, so the mean observed time
-    becomes the latency and the default bandwidth is kept.
+    With fewer than two distinct message sizes the slope is unidentifiable,
+    so the mean observed time becomes the latency and the default bandwidth
+    is kept. A fit whose intercept or slope is not positive — sizes that
+    never left the latency floor, or timing noise larger than the size
+    effect — describes no wire at all and returns ``None``.
     """
     if len(nbytes) != len(seconds) or not nbytes:
         raise ValidationError(
@@ -69,17 +71,12 @@ def fit_comm_model(
 
     n = np.asarray(nbytes, dtype=np.float64)
     t_us = np.asarray(seconds, dtype=np.float64) * 1e6
-    defaults = CommModel()
     if len(np.unique(n)) < 2:
         return CommModel(
             latency=max(float(t_us.mean()), 1e-3),
-            bandwidth=defaults.bandwidth,
+            bandwidth=CommModel().bandwidth,
         )
     slope, intercept = np.polyfit(n, t_us, 1)
-    # A flat/negative slope means the sizes never left the latency floor;
-    # keep the default bandwidth rather than reporting an infinite wire.
-    bandwidth = 1.0 / slope if slope > 1e-12 else defaults.bandwidth
-    return CommModel(
-        latency=max(float(intercept), 1e-3),
-        bandwidth=float(bandwidth),
-    )
+    if slope <= 0.0 or intercept <= 0.0:
+        return None
+    return CommModel(latency=float(intercept), bandwidth=float(1.0 / slope))

@@ -15,6 +15,7 @@ runtime caches them across loops and timesteps — exactly as OP2 does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,34 @@ class Plan:
 
     def block_elements(self, block: int) -> np.ndarray:
         return self.blocks[block].elements()
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each class position in :attr:`order`, plus the total.
+
+        Class positions enumerate ``classes`` flattened (color-major, blocks
+        in plan order within a color): position ``k``'s elements are
+        ``order[offsets[k]:offsets[k + 1]]``. OP2 calls this ``offset``.
+        """
+        sizes = [len(self.blocks[b]) for cls in self.classes for b in cls]
+        return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The set's elements in class order (OP2's ``blkmap``, expanded).
+
+        The blocks of one chunk are consecutive class positions, so a chunk's
+        elements are one view of this array. Built on first use: only
+        colored plans run by a pool need it, never a ``seq`` session.
+        Uncolored plans keep one class in plan order, so their order is the
+        identity and runners take slices instead.
+        """
+        starts = np.array(
+            [self.blocks[b].start for cls in self.classes for b in cls], dtype=np.intp
+        )
+        offsets = self.offsets
+        shift = np.repeat(starts - offsets[:-1], np.diff(offsets))
+        return np.arange(self.set_.size, dtype=np.intp) + shift
 
     def describe(self) -> str:
         return (

@@ -137,10 +137,27 @@ class ProcsResult:
     #: merged halo-traffic counters across ranks.
     comm: dict[str, int]
     #: alpha-beta model fitted to the observed (nbytes, latency) messages;
-    #: None when no halo messages flowed (single rank).
+    #: None when no halo messages flowed (single rank) or the fit is not
+    #: identifiable (see :func:`~repro.dist.comm.fit_comm_model`).
     fitted_comm: CommModel | None
     trace_path: str | None
     shm_names: tuple[str, ...]
+
+    def comm_fit_text(self) -> str | None:
+        """The fitted comm model in words; None when no message flowed."""
+        sizes = [nb for rep in self.reports.values() for nb, _ in rep.message_log]
+        if not sizes:
+            return None
+        fc = self.fitted_comm
+        if fc is None:
+            return (
+                f"not identifiable from {len(sizes)} messages "
+                f"(sizes {min(sizes)}–{max(sizes)} B)"
+            )
+        return (
+            f"latency {fc.latency:.3f} us, bandwidth {fc.bandwidth:.1f} MB/s "
+            f"from {len(sizes)} messages"
+        )
 
     def timing_summary(self) -> TimingSummary:
         """Aggregate per-kernel totals *across ranks* into one timing table.

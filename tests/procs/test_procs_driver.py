@@ -97,8 +97,11 @@ class TestAccounting:
         assert res.wall_seconds == max(
             r.wall_seconds for r in res.reports.values()
         )
-        assert res.fitted_comm is not None
-        assert res.fitted_comm.latency > 0.0
+        # Two iterations may not identify the wire; a fit that is reported
+        # is physical.
+        fc = res.fitted_comm
+        assert fc is None or (fc.latency > 0.0 and fc.bandwidth > 0.0)
+        assert res.comm_fit_text() is not None
 
     def test_timing_summary_merges_ranks(self, mesh):
         res = run_procs(mesh, ProcsConfig(ranks=2, niter=2, timing=True))

@@ -167,6 +167,18 @@ class TestCommModelFit:
         assert model.latency == pytest.approx(11.0, rel=1e-6)
         assert model.bandwidth == CommModel().bandwidth
 
+    def test_fit_with_negative_intercept_is_not_identifiable(self):
+        # Time grows faster than linearly with size (larger messages queue
+        # behind each other), so the fitted line crosses zero before n = 0.
+        sizes = [100, 200, 400, 800, 1600]
+        secs = [t * 1e-6 for t in (1.0, 3.0, 7.0, 20.0, 60.0)]
+        assert fit_comm_model(sizes, secs) is None
+
+    def test_fit_with_negative_slope_is_not_identifiable(self):
+        sizes = [1000, 2000, 4000]
+        secs = [30e-6, 20e-6, 10e-6]
+        assert fit_comm_model(sizes, secs) is None
+
     def test_fit_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             fit_comm_model([], [])

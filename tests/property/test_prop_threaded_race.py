@@ -9,7 +9,9 @@ invariants checked here over hypothesis-generated meshes:
    included);
 2. the shared decomposition hands each pool task disjoint elements of the
    color class — its chunks tile the class's elements (or the class's share
-   of a subset) exactly, so concurrent direct writes never overlap either.
+   of a subset) exactly, so concurrent direct writes never overlap either;
+   over a whole set a chunk's one selection lists its blocks' elements in
+   ``chunk.blocks`` order.
 """
 
 import numpy as np
@@ -93,8 +95,10 @@ def test_same_color_blocks_write_disjoint_rows(world, block_size):
 def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind, data):
     """Pool tasks receive disjoint elements covering the class exactly.
 
-    Holds for the whole set (slice spans) and for a sorted subset (one
-    index array per chunk, blocks without subset ids dropped).
+    Holds for the whole set (a slice, or a view of the plan's class-ordered
+    elements, laid out block by block in ``chunk.blocks`` order) and for a
+    sorted subset (one index array per chunk, blocks without subset ids
+    dropped).
     """
     from_set, maps, args = world
     plan = build_plan(from_set, args, block_size=block_size)
@@ -114,10 +118,16 @@ def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind, d
         assert chunks and ci not in executed
         executed[ci] = []
         for chunk in chunks:
-            for sel in chunk.work:
-                ids = np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
-                assert len(ids)
-                executed[ci].extend(int(e) for e in ids)
+            sel = chunk.elements
+            ids = np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
+            assert len(ids)
+            if subset is None:
+                # Blocks in chunk order: with disjoint same-color targets,
+                # this is what makes one batched scatter bit-identical to
+                # the block-by-block one.
+                blocks = [plan.block_elements(b) for b in chunk.blocks]
+                assert np.array_equal(ids, np.concatenate(blocks))
+            executed[ci].extend(int(e) for e in ids)
     for ci, cls in enumerate(plan.classes):
         expected = sorted(
             e
