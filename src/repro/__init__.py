@@ -15,6 +15,14 @@ Subpackages:
 - :mod:`repro.codegen` — the source-to-source translator that rewrites
   op_par_loop call sites for each backend.
 - :mod:`repro.airfoil` — the Airfoil CFD application and mesh generator.
+- :mod:`repro.engine` — the canonical Airfoil timestep program and the
+  executors that run it inside one rank.
+- :mod:`repro.obs` — per-kernel timing tables and Chrome-trace recording.
+- :mod:`repro.dist` — mesh partitioning, halo plans and the in-process
+  SPMD Airfoil.
+- :mod:`repro.procs` — rank-per-process SPMD runs over shared-memory dats.
+- :mod:`repro.apps` — the heat-conduction and shallow-water applications.
+- :mod:`repro.util` — RNG seeding, tables, timers and validation errors.
 - :mod:`repro.experiments` — the harness regenerating the paper's figures.
 """
 

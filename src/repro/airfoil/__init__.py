@@ -24,7 +24,6 @@ from repro.airfoil.app import AirfoilApp, AirfoilResult
 from repro.airfoil.reference import ReferenceAirfoil
 from repro.airfoil.validation import compare_states, max_rel_diff
 from repro.airfoil.metrics import ForceCoefficients, compute_forces, reference_forces
-from repro.airfoil.quality import MeshQuality, mesh_quality
 
 __all__ = [
     "FlowConstants",
@@ -41,6 +40,4 @@ __all__ = [
     "ForceCoefficients",
     "compute_forces",
     "reference_forces",
-    "MeshQuality",
-    "mesh_quality",
 ]

@@ -48,6 +48,7 @@ from repro.op2 import (
     op_arg_gbl,
     op_par_loop,
 )
+from repro.util.validate import check_positive
 
 __all__ = ["AirfoilApp", "AirfoilResult", "INNER_ITERS"]
 
@@ -194,6 +195,7 @@ class AirfoilApp:
 
     def run(self, rt: Op2Runtime, niter: int) -> AirfoilResult:
         """Run ``niter`` timesteps on the given runtime's backend."""
+        check_positive("niter", niter, strict=False)
         backend = rt.backend
         if backend.name == "hpx_dataflow":
             step = self._step_dataflow

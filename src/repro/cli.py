@@ -305,6 +305,17 @@ def _cmd_dist_procs(args: argparse.Namespace) -> int:
     return status
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: a value below 1 exits 2 with usage."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -334,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="hpx_dataflow")
     p.add_argument("--ni", type=int, default=120)
     p.add_argument("--nj", type=int, default=96)
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--iters", type=_positive_int, default=20)
+    p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--block-size", type=int, default=128)
     p.add_argument(
         "--mode", default="sim", choices=["sim", "threads"],
         help="sim: cooperative simulated execution; threads: real thread pool",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="OS threads for --mode threads (default: --threads)",
     )
     _add_obs_arguments(p)
@@ -351,15 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="hpx_dataflow")
     p.add_argument("--ni", type=int, default=48)
     p.add_argument("--nj", type=int, default=24)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument(
         "--mode", default="sim", choices=["sim", "threads"],
         help="sim: cooperative simulated execution; threads: real thread pool",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="OS threads for --mode threads (default: --threads)",
     )
     _add_obs_arguments(p)
@@ -368,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="hpx_dataflow")
     p.add_argument("--input", help="application source (default: bundled Airfoil)")
     p.add_argument("--output", help="write generated module here (default: stdout)")
-    p.add_argument("--chunk", type=int, default=1, help="static chunk size")
+    p.add_argument("--chunk", type=_positive_int, default=1, help="static chunk size")
 
     p = sub.add_parser("dist", help="distributed Airfoil")
-    p.add_argument("--ranks", type=int, default=4)
+    p.add_argument("--ranks", type=_positive_int, default=4)
     p.add_argument("--ni", type=int, default=96)
     p.add_argument("--nj", type=int, default=48)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--iters", type=_positive_int, default=3)
+    p.add_argument("--threads", type=_positive_int, default=8)
     p.add_argument("--partitioner", default="rcb", choices=["rcb", "band"])
     p.add_argument(
         "--mode", default="sim", choices=["sim", "procs"],
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="halo-exchange schedule(s) to run in --mode procs",
     )
     p.add_argument(
-        "--threads-per-rank", type=int, default=1, metavar="T",
+        "--threads-per-rank", type=_positive_int, default=1, metavar="T",
         help="pool threads inside each rank process (hybrid MPI+OpenMP "
         "analogue; blocking = fork-join, overlapped = dependency-scheduled)",
     )

@@ -43,7 +43,7 @@ from repro.op2 import (
     op_arg_gbl,
 )
 from repro.op2.parloop import ParLoop
-from repro.util.validate import ValidationError
+from repro.util.validate import ValidationError, check_positive
 
 
 @dataclass
@@ -239,6 +239,7 @@ class DistAirfoil:
         self.iterations += 1
 
     def run(self, niter: int) -> dict[str, float]:
+        check_positive("niter", niter, strict=False)
         for _ in range(niter):
             self.step()
         return {

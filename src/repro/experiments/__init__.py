@@ -22,7 +22,6 @@ from repro.experiments.figures import (
     render_figure,
 )
 from repro.experiments.report import ExperimentReport, claim_check
-from repro.experiments.grainsize import GrainPoint, best_grain, grain_size_curve, is_u_shaped
 
 __all__ = [
     "ExperimentConfig",
@@ -40,8 +39,4 @@ __all__ = [
     "render_figure",
     "ExperimentReport",
     "claim_check",
-    "GrainPoint",
-    "best_grain",
-    "grain_size_curve",
-    "is_u_shaped",
 ]

@@ -8,17 +8,18 @@ This subpackage mirrors the slice of HPX used by the paper:
   returning a future (paper Fig 8).
 - :func:`~repro.hpx.dataflow.dataflow` — delayed invocation until all future
   arguments are ready (paper §III-B, Figs 11–12).
-- :mod:`~repro.hpx.parallel` — ``for_each``-style parallel algorithms with
+- :func:`~repro.hpx.parallel.for_each` — the parallel algorithm with
   execution policies ``seq`` / ``par`` / ``par(task)`` (paper §III-A).
 - :mod:`~repro.hpx.chunking` — HPX's auto-partitioner and static chunk sizes
   (paper Figs 6–7).
 
-Execution is cooperative: the executor multiplexes logical worker queues on
-the calling OS thread (CPython's GIL makes real thread scaling meaningless for
-pure-Python tasks). The *scheduling structure* — who waits on what, when
-barriers happen, how work is stolen — is identical to the real runtime and is
-what the paper's claims are about; timing behaviour is replayed on the
-discrete-event machine model in :mod:`repro.sim`.
+There are two executors. The cooperative
+:class:`~repro.hpx.executor.TaskExecutor` multiplexes logical worker queues
+on the calling OS thread; sim mode runs on it, and the discrete-event model
+in :mod:`repro.sim` replays its schedules for timing. The
+:class:`~repro.hpx.threadpool.ThreadPoolEngine` runs tasks on real OS
+threads; threads mode and the pool inside a multi-threaded procs rank run
+on it. Its workers overlap only inside NumPy calls that release the GIL.
 """
 
 from repro.hpx.future import Future, FutureError, make_ready_future, when_all
@@ -30,10 +31,9 @@ from repro.hpx.chunking import (
     DynamicChunkSize,
     GuessChunkSize,
 )
-from repro.hpx.parallel import for_each, for_loop, transform, reduce_
+from repro.hpx.parallel import for_each
 from repro.hpx.dataflow import dataflow, unwrapped
 from repro.hpx.runtime import HPXRuntime, async_, get_runtime, set_runtime
-from repro.hpx.sync import Latch, Barrier, CountingSemaphore
 
 __all__ = [
     "Future",
@@ -51,16 +51,10 @@ __all__ = [
     "DynamicChunkSize",
     "GuessChunkSize",
     "for_each",
-    "for_loop",
-    "transform",
-    "reduce_",
     "dataflow",
     "unwrapped",
     "HPXRuntime",
     "async_",
     "get_runtime",
     "set_runtime",
-    "Latch",
-    "Barrier",
-    "CountingSemaphore",
 ]

@@ -1,6 +1,6 @@
-"""Parallel algorithms: ``for_each``, ``for_loop``, ``transform``, ``reduce_``.
+"""The parallel algorithm ``for_each``.
 
-These mirror ``hpx::parallel`` algorithms over integer ranges (the form OP2's
+It mirrors the ``hpx::parallel`` algorithm over integer ranges (the form OP2's
 generated loops use — Fig 6 of the paper iterates over ``irange(0, nblocks)``).
 
 Policy semantics:
@@ -19,34 +19,17 @@ Policy semantics:
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.hpx.chunking import Chunk, validate_cover
 from repro.hpx.future import Future, make_ready_future, when_all
 from repro.hpx.policies import ExecutionPolicy
 from repro.hpx.runtime import get_runtime
 
-T = TypeVar("T")
-
 
 def _run_chunk(body: Callable[[int], None], chunk: Chunk) -> None:
     for i in range(chunk.start, chunk.stop):
         body(i)
-
-
-def for_loop(
-    policy: ExecutionPolicy,
-    start: int,
-    stop: int,
-    body: Callable[[int], None],
-) -> Future | None:
-    """Apply ``body(i)`` for ``i`` in ``[start, stop)`` under ``policy``."""
-    n = max(0, stop - start)
-
-    def shifted(i: int) -> None:
-        body(start + i)
-
-    return _for_each_range(policy, n, shifted)
 
 
 def for_each(
@@ -60,18 +43,13 @@ def for_each(
     def apply(i: int) -> None:
         body(items[i])
 
-    return _for_each_range(policy, len(items), apply)
-
-
-def _for_each_range(
-    policy: ExecutionPolicy, n: int, body: Callable[[int], None]
-) -> Future | None:
+    n = len(items)
     runtime = get_runtime()
     executor = runtime.executor
 
     if not policy.parallel:
         for i in range(n):
-            body(i)
+            apply(i)
         return make_ready_future(None, executor) if policy.task else None
 
     chunker = policy.effective_chunker()
@@ -82,12 +60,12 @@ def _for_each_range(
     parallel_chunks: list[Chunk] = []
     for chunk in chunks:
         if chunk.serial_prefix:
-            _run_chunk(body, chunk)
+            _run_chunk(apply, chunk)
         else:
             parallel_chunks.append(chunk)
 
     futures = [
-        executor.submit(_run_chunk, body, chunk, name=f"chunk[{chunk.start}:{chunk.stop}]")
+        executor.submit(_run_chunk, apply, chunk, name=f"chunk[{chunk.start}:{chunk.stop}]")
         for chunk in parallel_chunks
     ]
     joined = when_all(futures, executor).then(lambda _: None, name="for_each.join")
@@ -96,80 +74,3 @@ def _for_each_range(
         return joined
     joined.get()  # fork-join barrier: wait for every chunk
     return None
-
-
-def transform(
-    policy: ExecutionPolicy,
-    items: list[T],
-    fn: Callable[[T], Any],
-) -> list[Any] | Future:
-    """Parallel map into a fresh list (order preserved)."""
-    out: list[Any] = [None] * len(items)
-
-    def body(i: int) -> None:
-        out[i] = fn(items[i])
-
-    result = _for_each_range(policy, len(items), body)
-    if policy.task:
-        assert isinstance(result, Future)
-        return result.then(lambda _: out, name="transform.collect")
-    return out
-
-
-def reduce_(
-    policy: ExecutionPolicy,
-    items: list[T],
-    op: Callable[[Any, Any], Any],
-    init: Any,
-) -> Any | Future:
-    """Parallel reduction. ``op`` must be associative.
-
-    Chunk-local partials are combined in chunk order, so for associative but
-    non-commutative ``op`` the result still matches the sequential fold.
-    """
-    runtime = get_runtime()
-    executor = runtime.executor
-
-    if not policy.parallel:
-        acc = init
-        for item in items:
-            acc = op(acc, item)
-        return make_ready_future(acc, executor) if policy.task else acc
-
-    chunker = policy.effective_chunker()
-    chunks = chunker.chunks(len(items), runtime.num_threads)
-    validate_cover(chunks, len(items))
-
-    def fold(chunk: Chunk) -> Any:
-        it = iter(range(chunk.start, chunk.stop))
-        first = next(it)
-        acc = items[first]
-        for i in it:
-            acc = op(acc, items[i])
-        return acc
-
-    partial_futures = []
-    inline_partials: list[tuple[int, Any]] = []
-    for order, chunk in enumerate(chunks):
-        if len(chunk) == 0:
-            continue
-        if chunk.serial_prefix:
-            inline_partials.append((order, fold(chunk)))
-        else:
-            partial_futures.append((order, executor.submit(fold, chunk, name="reduce.chunk")))
-
-    def combine(values: list[Any]) -> Any:
-        ordered = sorted(
-            inline_partials + list(zip([o for o, _ in partial_futures], values))
-        )
-        acc = init
-        for _, partial in ordered:
-            acc = op(acc, partial)
-        return acc
-
-    combined = when_all([f for _, f in partial_futures], executor).then(
-        combine, name="reduce.combine"
-    )
-    if policy.task:
-        return combined
-    return combined.get()

@@ -9,8 +9,7 @@ ergonomic, mirroring how HPX applications use a process-global runtime.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.hpx.executor import TaskExecutor
 from repro.hpx.future import Future
@@ -60,17 +59,6 @@ def set_runtime(runtime: HPXRuntime | None) -> HPXRuntime | None:
     previous = _current
     _current = runtime
     return previous
-
-
-@contextmanager
-def runtime_scope(num_threads: int) -> Iterator[HPXRuntime]:
-    """Context manager installing a fresh runtime for a code block."""
-    rt = HPXRuntime(num_threads)
-    previous = set_runtime(rt)
-    try:
-        yield rt
-    finally:
-        set_runtime(previous)
 
 
 def async_(fn: Callable[..., Any], *args: Any, name: str = "") -> Future:

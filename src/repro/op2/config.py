@@ -1,7 +1,7 @@
 """Runtime execution configuration: simulated vs. measured execution.
 
 Every :class:`~repro.op2.runtime.Op2Runtime` carries a :class:`RuntimeConfig`
-selecting one of two execution modes:
+selecting one of three execution modes:
 
 - ``"sim"`` (default) — the cooperative single-OS-thread path: backends run
   their loops through the deterministic
@@ -11,8 +11,13 @@ selecting one of two execution modes:
   core runs on a :class:`~repro.hpx.threadpool.ThreadPoolEngine` backed by a
   ``concurrent.futures.ThreadPoolExecutor``. Direct loops are split into
   chunks by the backend's chunking policy; indirect loops run color by color
-  with all same-color plan blocks dispatched concurrently (numpy releases the
-  GIL inside batch kernels, so this genuinely scales on multicore hosts).
+  with all same-color plan blocks dispatched concurrently. Workers overlap
+  only inside NumPy calls that release the GIL, and that depends on the
+  primitive: a probe on a 2-core host saw ``np.take(out=)`` and
+  ``np.bincount`` overlap at 32k rows while ``np.add.at`` never did
+  (ROADMAP item 16 makes this visible per span).
+- ``"procs"`` — one OS process per rank over shared-memory dats, driven
+  through :func:`repro.procs.run_procs` rather than per-loop dispatch.
 
 The mode is orthogonal to the backend choice: every backend keeps its own
 decomposition policy (OpenMP-style even split, for_each auto/static chunking,

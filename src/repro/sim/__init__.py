@@ -29,12 +29,6 @@ from repro.sim.metrics import (
     efficiency_series,
     overhead_breakdown,
 )
-from repro.sim.analysis import (
-    bottleneck_report,
-    critical_loop_shares,
-    critical_path_tasks,
-    idle_gaps,
-)
 from repro.sim.chrometrace import export_chrome_trace, trace_events
 
 __all__ = [
@@ -54,10 +48,6 @@ __all__ = [
     "speedup_series",
     "efficiency_series",
     "overhead_breakdown",
-    "bottleneck_report",
-    "critical_loop_shares",
-    "critical_path_tasks",
-    "idle_gaps",
     "export_chrome_trace",
     "trace_events",
 ]

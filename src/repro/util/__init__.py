@@ -1,12 +1,11 @@
 """Shared utilities: seeded RNG, table rendering, timing, validation helpers."""
 
 from repro.util.rng import seeded_rng, derive_seed
-from repro.util.tables import Table, format_series, ascii_plot
+from repro.util.tables import Table, ascii_plot
 from repro.util.timing import WallTimer
 from repro.util.validate import (
     check_positive,
     check_in_range,
-    check_type,
     ReproError,
     ValidationError,
 )
@@ -15,12 +14,10 @@ __all__ = [
     "seeded_rng",
     "derive_seed",
     "Table",
-    "format_series",
     "ascii_plot",
     "WallTimer",
     "check_positive",
     "check_in_range",
-    "check_type",
     "ReproError",
     "ValidationError",
 ]

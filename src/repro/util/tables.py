@@ -64,12 +64,6 @@ class Table:
         return self.render()
 
 
-def format_series(name: str, xs: Sequence[float], ys: Sequence[float]) -> str:
-    """One-line rendering of an (x, y) series, used in experiment logs."""
-    pairs = ", ".join(f"{x:g}:{y:.4g}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"
-
-
 def ascii_plot(
     series: dict[str, tuple[Sequence[float], Sequence[float]]],
     *,

@@ -6,8 +6,6 @@ callers can catch library errors without also swallowing programming errors.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -15,19 +13,6 @@ class ReproError(Exception):
 
 class ValidationError(ReproError, ValueError):
     """An argument failed validation (bad shape, range, or type)."""
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> None:
-    """Raise :class:`ValidationError` unless ``value`` is an ``expected`` instance."""
-    if not isinstance(value, expected):
-        exp = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise ValidationError(
-            f"{name} must be {exp}, got {type(value).__name__}: {value!r}"
-        )
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:

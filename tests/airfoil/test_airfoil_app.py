@@ -86,6 +86,12 @@ class TestAirfoilApp:
         assert loops[0].loop.name == "save_soln"
         assert loops[1].loop.name == "adt_calc"
 
+    def test_negative_niter_rejected(self, small_mesh):
+        with op2_session(backend="seq", block_size=32) as rt:
+            app = AirfoilApp(small_mesh)
+            with pytest.raises(ValidationError, match="niter"):
+                app.run(rt, -1)
+
 
 class TestValidationHelpers:
     def test_max_rel_diff_zero_for_identical(self):

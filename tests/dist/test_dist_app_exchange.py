@@ -162,6 +162,10 @@ class TestDistAirfoil:
         with pytest.raises(ValidationError):
             DistAirfoil(mesh, 2, partitioner="metis")
 
+    def test_negative_niter_rejected(self, mesh):
+        with pytest.raises(ValidationError, match="niter"):
+            DistAirfoil(mesh, 2).run(-1)
+
     def test_rank_count_one_works(self, mesh, reference):
         dist = DistAirfoil(mesh, 1)
         dist.run(3)

@@ -1,93 +1,8 @@
-"""Tests for repro.hpx.sync and repro.hpx.runtime."""
+"""Tests for repro.hpx.runtime."""
 
 import pytest
 
-from repro.hpx.runtime import HPXRuntime, async_, get_runtime, runtime_scope, set_runtime
-from repro.hpx.sync import Barrier, CountingSemaphore, Latch, SyncError
-
-
-class TestLatch:
-    def test_counts_down_to_ready(self, hpx_rt):
-        latch = Latch(2)
-        latch.count_down()
-        assert not latch.is_ready()
-        latch.count_down()
-        assert latch.is_ready()
-
-    def test_wait_drives_producers(self, hpx_rt):
-        latch = Latch(3)
-        for _ in range(3):
-            hpx_rt.executor.post(latch.count_down)
-        latch.wait()
-        assert latch.is_ready()
-
-    def test_over_release_raises(self, hpx_rt):
-        latch = Latch(1)
-        latch.count_down()
-        with pytest.raises(SyncError):
-            latch.count_down()
-
-    def test_zero_latch_ready(self, hpx_rt):
-        assert Latch(0).is_ready()
-
-    def test_arrive_and_wait_single_party(self, hpx_rt):
-        latch = Latch(1)
-        latch.arrive_and_wait()
-        assert latch.is_ready()
-
-
-class TestBarrier:
-    def test_generation_advances_when_all_arrive(self, hpx_rt):
-        b = Barrier(3)
-        assert b.arrive() == 0
-        assert b.arrive() == 0
-        assert b.arrive() == 0
-        assert b._generation == 1
-
-    def test_reusable_across_generations(self, hpx_rt):
-        b = Barrier(2)
-        b.arrive(), b.arrive()
-        assert b.arrive() == 1
-
-    def test_wait_for_generation(self, hpx_rt):
-        b = Barrier(2)
-        gen = b.arrive()
-        hpx_rt.executor.post(b.arrive)
-        b.wait(gen)
-        assert b._generation == 1
-
-    def test_single_party_barrier_never_blocks(self, hpx_rt):
-        b = Barrier(1)
-        b.arrive_and_wait()
-        b.arrive_and_wait()
-        assert b._generation == 2
-
-    def test_arrive_and_wait_completes_generation(self, hpx_rt):
-        b = Barrier(2)
-        hpx_rt.executor.post(b.arrive)
-        b.arrive_and_wait()
-        assert b._generation == 1
-
-
-class TestCountingSemaphore:
-    def test_try_acquire(self, hpx_rt):
-        sem = CountingSemaphore(2)
-        assert sem.try_acquire()
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-
-    def test_release_then_acquire(self, hpx_rt):
-        sem = CountingSemaphore()
-        hpx_rt.executor.post(sem.release)
-        sem.acquire()
-        assert sem.value == 0
-
-    def test_bulk_operations(self, hpx_rt):
-        sem = CountingSemaphore(5)
-        assert sem.try_acquire(3)
-        assert not sem.try_acquire(3)
-        sem.release(1)
-        assert sem.try_acquire(3)
+from repro.hpx.runtime import HPXRuntime, async_, get_runtime, set_runtime
 
 
 class TestHPXRuntime:
@@ -99,11 +14,6 @@ class TestHPXRuntime:
         rt = get_runtime()
         assert isinstance(rt, HPXRuntime)
         assert get_runtime() is rt
-
-    def test_runtime_scope_restores_previous(self, hpx_rt):
-        with runtime_scope(2) as inner:
-            assert get_runtime() is inner
-        assert get_runtime() is hpx_rt
 
     def test_run_drains(self, hpx_rt):
         log = []

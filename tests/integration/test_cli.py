@@ -18,6 +18,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["airfoil", "--iters", "-1"],
+            ["airfoil", "--iters", "0"],
+            ["airfoil", "--threads", "0"],
+            ["airfoil", "--workers", "-2"],
+            ["heat", "--steps", "-1"],
+            ["translate", "--chunk", "0"],
+            ["dist", "--iters", "-1"],
+            ["dist", "--ranks", "0"],
+            ["dist", "--threads-per-rank", "0"],
+            ["dist", "--iters", "two"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_count_exits_2_before_running(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and argv[1] in captured.err
+
 
 class TestCommands:
     def test_info(self, capsys):

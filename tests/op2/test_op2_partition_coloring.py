@@ -11,13 +11,7 @@ from repro.op2.coloring import (
     validate_coloring,
 )
 from repro.op2.exceptions import PlanError
-from repro.op2.partition import (
-    balanced_blocks,
-    block_of_element,
-    contiguous_blocks,
-    imbalance,
-    validate_blocks,
-)
+from repro.op2.partition import contiguous_blocks, validate_blocks
 
 
 class TestContiguousBlocks:
@@ -45,45 +39,11 @@ class TestContiguousBlocks:
         np.testing.assert_array_equal(blocks[1].elements(), np.arange(4, 8))
 
 
-class TestBalancedBlocks:
-    def test_exact_count(self):
-        blocks = balanced_blocks(100, 7)
-        assert len(blocks) == 7
-        validate_blocks(blocks, 100)
-
-    def test_near_even(self):
-        blocks = balanced_blocks(100, 7)
-        sizes = [len(b) for b in blocks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_blocks_than_elements(self):
-        blocks = balanced_blocks(3, 10)
-        validate_blocks(blocks, 3)
-        assert all(len(b) >= 1 for b in blocks)
-
-
 class TestValidateBlocks:
     def test_detects_gap(self):
         blocks = contiguous_blocks(10, 5)
         with pytest.raises(PlanError):
             validate_blocks([blocks[1]], 10)
-
-    def test_block_of_element(self):
-        blocks = contiguous_blocks(100, 7)
-        for e in (0, 6, 7, 50, 99):
-            b = block_of_element(blocks, e)
-            assert blocks[b].start <= e < blocks[b].stop
-
-    def test_block_of_element_out_of_range(self):
-        blocks = contiguous_blocks(10, 5)
-        with pytest.raises(PlanError):
-            block_of_element(blocks, 10)
-
-    def test_imbalance_even(self):
-        assert imbalance(contiguous_blocks(12, 4)) == 1.0
-
-    def test_imbalance_uneven(self):
-        assert imbalance(contiguous_blocks(10, 4)) > 1.0
 
 
 class TestConflictGraph:

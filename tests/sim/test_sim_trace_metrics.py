@@ -5,7 +5,6 @@ import pytest
 from repro.sim.engine import simulate
 from repro.sim.machine import MachineConfig
 from repro.sim.metrics import (
-    crossover_point,
     efficiency_series,
     overhead_breakdown,
     speedup_series,
@@ -103,19 +102,3 @@ class TestOverheadBreakdown:
         res = simulate(g, IDEAL, 1, trace=True)
         frac = overhead_breakdown(res)
         assert frac["work"] == pytest.approx(1.0)
-
-
-class TestCrossoverPoint:
-    def test_exact_crossover_interpolated(self):
-        x = crossover_point([1, 2, 3], [0.0, 2.0, 4.0], [2.0, 2.0, 2.0])
-        assert x == pytest.approx(2.0)
-
-    def test_no_crossover_returns_none(self):
-        assert crossover_point([1, 2], [0.0, 1.0], [2.0, 3.0]) is None
-
-    def test_ahead_from_start(self):
-        assert crossover_point([1, 2], [3.0, 4.0], [1.0, 1.0]) == 1.0
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValidationError):
-            crossover_point([1], [1.0, 2.0], [1.0])
