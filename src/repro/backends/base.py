@@ -7,9 +7,10 @@ Every backend ultimately runs kernels through :func:`execute_loop`:
    map column, reduction args get identity-initialized buffers;
 2. **compute** — invoke the vectorized kernel on the batch (or the elemental
    kernel row by row);
-3. **scatter** — write results back: assignment for WRITE/RW, duplicate-safe
-   ``np.add.at`` for indirect increments, and associative combination for
-   global reductions.
+3. **scatter** — write results back: assignment for WRITE/RW, one
+   duplicate-safe 1-D ``ufunc.at`` per component for increments (and
+   MIN/MAX) through an index array, in-place combination over a slice, and
+   ``ufunc.reduce`` folds for global reductions.
 
 This factorization makes the numerical result of every backend identical by
 construction; backends differ only in how the iteration space is cut up and
@@ -38,18 +39,40 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.runtime import LoopLog
 
 
+#: The combining ufunc of each reduction access: increments and global folds
+#: (``ufunc.reduce`` is what ``.sum/.min/.max(axis=0)`` call) use one table.
+_REDUCE = {Access.INC: np.add, Access.MIN: np.minimum, Access.MAX: np.maximum}
+
+
 def _target_indices(arg: Arg, elements: np.ndarray | slice) -> np.ndarray | slice:
     """Row indices of ``arg.dat`` touched by ``elements`` of the loop set."""
     if arg.is_direct:
         return elements
     assert arg.map_ is not None
-    return arg.map_.values[elements, arg.idx]
+    if isinstance(elements, slice):
+        return arg.map_.values[elements, arg.idx]
+    return np.take(arg.map_.values[:, arg.idx], elements)
+
+
+def _identity_buffer(access: Access, n: int, dim: int, dtype: Any) -> np.ndarray:
+    """An ``(n, dim)`` buffer holding the identity of reduction ``access``."""
+    if access is Access.INC:
+        return np.zeros((n, dim), dtype=dtype)
+    if access is Access.MIN:
+        return np.full((n, dim), np.inf, dtype=dtype)
+    if access is Access.MAX:
+        return np.full((n, dim), -np.inf, dtype=dtype)
+    raise Op2Error(f"unsupported access {access}")  # pragma: no cover
 
 
 def gather_args(
     loop: ParLoop, elements: np.ndarray | slice, n: int
 ) -> tuple[list[np.ndarray], list[tuple[Arg, Any, np.ndarray]]]:
-    """Build kernel input buffers; returns (buffers, scatter work list)."""
+    """Build kernel input buffers; returns (buffers, scatter work list).
+
+    A gather through an index array is one ``np.take`` along rows; a slice
+    keeps its view (READ) or copy (RW).
+    """
     buffers: list[np.ndarray] = []
     writebacks: list[tuple[Arg, Any, np.ndarray]] = []
     for arg in loop.args:
@@ -58,35 +81,25 @@ def gather_args(
             assert isinstance(gbl, OpGlobal)
             if arg.access is Access.READ:
                 buf = gbl.data  # shared read-only constant
-            elif arg.access is Access.INC:
-                buf = np.zeros((n, gbl.dim), dtype=gbl.data.dtype)
-            elif arg.access is Access.MIN:
-                buf = np.full((n, gbl.dim), np.inf, dtype=gbl.data.dtype)
-            elif arg.access is Access.MAX:
-                buf = np.full((n, gbl.dim), -np.inf, dtype=gbl.data.dtype)
-            else:  # pragma: no cover - blocked in op_arg_gbl
-                raise Op2Error(f"unsupported global access {arg.access}")
-            buffers.append(buf)
-            if arg.access is not Access.READ:
+            else:  # op_arg_gbl admits only READ and the reductions
+                buf = _identity_buffer(arg.access, n, gbl.dim, gbl.data.dtype)
                 writebacks.append((arg, None, buf))
+            buffers.append(buf)
             continue
 
         dat = arg.dat
         tgt = _target_indices(arg, elements)
-        if arg.access is Access.READ:
-            buf = dat.data[tgt]  # view for direct slices, copy for gathers
-        elif arg.access is Access.RW:
-            buf = np.array(dat.data[tgt])  # private copy, scattered back
+        if arg.access in (Access.READ, Access.RW):
+            if isinstance(tgt, slice):
+                buf = dat.data[tgt]  # a view; RW scatters back a private copy
+                if arg.access is Access.RW:
+                    buf = buf.copy()
+            else:
+                buf = np.take(dat.data, tgt, axis=0)
         elif arg.access is Access.WRITE:
             buf = np.empty((n, dat.dim), dtype=dat.data.dtype)
-        elif arg.access is Access.INC:
-            buf = np.zeros((n, dat.dim), dtype=dat.data.dtype)
-        elif arg.access is Access.MIN:
-            buf = np.full((n, dat.dim), np.inf, dtype=dat.data.dtype)
-        elif arg.access is Access.MAX:
-            buf = np.full((n, dat.dim), -np.inf, dtype=dat.data.dtype)
-        else:  # pragma: no cover - exhaustive
-            raise Op2Error(f"unsupported access {arg.access}")
+        else:
+            buf = _identity_buffer(arg.access, n, dat.dim, dat.data.dtype)
         buffers.append(buf)
         if arg.access.writes:
             writebacks.append((arg, tgt, buf))
@@ -99,6 +112,12 @@ def scatter_args(
 ) -> None:
     """Write kernel outputs back into dats/globals.
 
+    A reduction into an index array is one 1-D ``ufunc.at`` per component
+    on the strided column ``dat.data[:, k]``: it applies each row's
+    increments in element order, exactly as a 2-D ``ufunc.at`` would, so
+    duplicate targets accumulate bit-identically. An array of direct rows
+    takes the same path (its rows are distinct); a slice combines in place.
+
     When ``global_sink`` is given, global reductions are *not* applied to the
     shared ``OpGlobal`` storage; instead the batch-reduced partial is appended
     to the sink. Threaded execution uses this to keep concurrent tasks from
@@ -106,42 +125,23 @@ def scatter_args(
     order on the calling thread.
     """
     for arg, tgt, buf in writebacks:
+        ufunc = _REDUCE.get(arg.access)
         if arg.is_global:
-            gbl = arg.dat
-            assert isinstance(gbl, OpGlobal)
+            part = ufunc.reduce(buf, axis=0)
             if global_sink is not None:
-                if arg.access is Access.INC:
-                    global_sink.append((arg, buf.sum(axis=0)))
-                elif arg.access is Access.MIN:
-                    global_sink.append((arg, buf.min(axis=0)))
-                elif arg.access is Access.MAX:
-                    global_sink.append((arg, buf.max(axis=0)))
-                continue
-            if arg.access is Access.INC:
-                gbl.data += buf.sum(axis=0)
-            elif arg.access is Access.MIN:
-                np.minimum(gbl.data, buf.min(axis=0), out=gbl.data)
-            elif arg.access is Access.MAX:
-                np.maximum(gbl.data, buf.max(axis=0), out=gbl.data)
+                global_sink.append((arg, part))
+            else:
+                ufunc(arg.dat.data, part, out=arg.dat.data)
             continue
-        dat = arg.dat
-        if arg.access in (Access.WRITE, Access.RW):
-            dat.data[tgt] = buf
-        elif arg.access is Access.INC:
-            if arg.is_direct:
-                dat.data[tgt] += buf  # direct: no duplicate targets possible
-            else:
-                np.add.at(dat.data, tgt, buf)
-        elif arg.access is Access.MIN:
-            if arg.is_direct:
-                np.minimum(dat.data[tgt], buf, out=dat.data[tgt])
-            else:
-                np.minimum.at(dat.data, tgt, buf)
-        elif arg.access is Access.MAX:
-            if arg.is_direct:
-                np.maximum(dat.data[tgt], buf, out=dat.data[tgt])
-            else:
-                np.maximum.at(dat.data, tgt, buf)
+        data = arg.dat.data
+        if ufunc is None:  # WRITE / RW
+            data[tgt] = buf
+        elif isinstance(tgt, slice):
+            view = data[tgt]
+            ufunc(view, buf, out=view)
+        else:
+            for k in range(data.shape[1]):
+                ufunc.at(data[:, k], tgt, buf[:, k])
 
 
 def apply_global_partials(partials: list[tuple[Arg, np.ndarray]]) -> None:
@@ -154,12 +154,7 @@ def apply_global_partials(partials: list[tuple[Arg, np.ndarray]]) -> None:
     for arg, part in partials:
         gbl = arg.dat
         assert isinstance(gbl, OpGlobal)
-        if arg.access is Access.INC:
-            gbl.data += part
-        elif arg.access is Access.MIN:
-            np.minimum(gbl.data, part, out=gbl.data)
-        elif arg.access is Access.MAX:
-            np.maximum(gbl.data, part, out=gbl.data)
+        _REDUCE[arg.access](gbl.data, part, out=gbl.data)
 
 
 def execute_loop(

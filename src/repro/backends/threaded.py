@@ -19,7 +19,8 @@ which is the paper's experimental variable:
 2. :func:`run_chunk` — the chunk body: one ``execute_loop`` with global
    partials sent to a sink and no version bump. Running a colored chunk's
    blocks as one batch is bit-identical to running them one by one:
-   same-color blocks increment disjoint rows and ``np.add.at`` applies
+   same-color blocks increment disjoint rows and the per-component
+   ``ufunc.at`` of :func:`~repro.backends.base.scatter_args` applies
    increments in index order, so every row gets the same increments in the
    same order.
 3. :func:`submit_colors` — the dependency shape: a color-gated

@@ -305,15 +305,33 @@ def _cmd_dist_procs(args: argparse.Namespace) -> int:
     return status
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count flag: a value below 1 exits 2 with usage."""
+def _int_at_least(text: str, minimum: int) -> int:
+    """Parse ``text`` as an int no smaller than ``minimum``, for argparse."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: a value below 1 exits 2 with usage."""
+    return _int_at_least(text, 1)
+
+
+def _mesh_ni(text: str) -> int:
+    """argparse type of ``--ni``: the O-mesh needs an even count >= 8."""
+    value = _int_at_least(text, 8)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return value
+
+
+def _mesh_nj(text: str) -> int:
+    """argparse type of ``--nj``: the O-mesh needs at least 2 cell layers."""
+    return _int_at_least(text, 2)
 
 
 def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
@@ -343,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("airfoil", help="run the Airfoil solver")
     p.add_argument("--backend", default="hpx_dataflow")
-    p.add_argument("--ni", type=int, default=120)
-    p.add_argument("--nj", type=int, default=96)
+    p.add_argument("--ni", type=_mesh_ni, default=120)
+    p.add_argument("--nj", type=_mesh_nj, default=96)
     p.add_argument("--iters", type=_positive_int, default=20)
     p.add_argument("--threads", type=_positive_int, default=4)
-    p.add_argument("--block-size", type=int, default=128)
+    p.add_argument("--block-size", type=_positive_int, default=128)
     p.add_argument(
         "--mode", default="sim", choices=["sim", "threads"],
         help="sim: cooperative simulated execution; threads: real thread pool",
@@ -360,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="run the heat application")
     p.add_argument("--backend", default="hpx_dataflow")
-    p.add_argument("--ni", type=int, default=48)
-    p.add_argument("--nj", type=int, default=24)
+    p.add_argument("--ni", type=_mesh_ni, default=48)
+    p.add_argument("--nj", type=_mesh_nj, default=24)
     p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--tol", type=float, default=0.0)
@@ -383,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="distributed Airfoil")
     p.add_argument("--ranks", type=_positive_int, default=4)
-    p.add_argument("--ni", type=int, default=96)
-    p.add_argument("--nj", type=int, default=48)
+    p.add_argument("--ni", type=_mesh_ni, default=96)
+    p.add_argument("--nj", type=_mesh_nj, default=48)
     p.add_argument("--iters", type=_positive_int, default=3)
     p.add_argument("--threads", type=_positive_int, default=8)
     p.add_argument("--partitioner", default="rcb", choices=["rcb", "band"])

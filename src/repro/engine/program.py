@@ -25,7 +25,8 @@ like writes against reads and writes, but two increments of the same token
 may commute — the async application driver exploits this to launch
 ``res_calc`` and ``bres_calc`` without a sync between them (paper Fig 10),
 while the real-thread executors keep the strict ordering (concurrent
-``np.add.at`` into shared rows is still a data race). Exchange steps
+``ufunc.at`` into shared rows is still a data race, and the fixed order
+keeps each row's increments bit-identical). Exchange steps
 additionally carry a per-channel token (``"chan:update"``) so successive
 exchanges of one kind serialize even when their data regions are disjoint —
 the in-flight-buffer rule of nonblocking MPI.

@@ -3,9 +3,13 @@
 This is the measured counterpart of the cooperative
 :class:`~repro.hpx.executor.TaskExecutor`: same submit/join vocabulary, but
 tasks run on a ``concurrent.futures.ThreadPoolExecutor`` so wall-clock
-behaviour reflects the actual hardware. Numpy's batch kernels release the GIL
-for their inner loops, which is what makes chunked parallel loops scale on
-multicore hosts.
+behaviour reflects the actual hardware. Workers overlap only inside NumPy
+calls that release the GIL, and how much they overlap depends on the
+primitive. A 2-core probe of Airfoil found ``openmp`` at 2 workers no
+faster than at 1; its lead over ``seq`` came from ``seq``'s whole-set
+buffers, fresh mappings that page-fault every step, while chunk-sized
+buffers fault almost never (EXPERIMENTS.md, "gather/scatter core").
+Chunked loops do not scale just because NumPy runs them.
 
 Two scheduling primitives are offered:
 

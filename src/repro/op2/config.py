@@ -14,8 +14,10 @@ selecting one of three execution modes:
   with all same-color plan blocks dispatched concurrently. Workers overlap
   only inside NumPy calls that release the GIL, and that depends on the
   primitive: a probe on a 2-core host saw ``np.take(out=)`` and
-  ``np.bincount`` overlap at 32k rows while ``np.add.at`` never did
-  (ROADMAP item 16 makes this visible per span).
+  ``np.bincount`` overlap at 32k rows while a 2-D ``np.add.at`` never did,
+  and with the per-component ``ufunc.at`` core Airfoil ran no faster on 2
+  workers than on 1 (EXPERIMENTS.md, "gather/scatter core"; ROADMAP item
+  16 makes this visible per span).
 - ``"procs"`` — one OS process per rank over shared-memory dats, driven
   through :func:`repro.procs.run_procs` rather than per-loop dispatch.
 

@@ -136,7 +136,7 @@ class HaloTransport:
         buf = np.empty((len(rows), total_dim), dtype=np.float64)
         col = 0
         for f in fields:
-            buf[:, col : col + f.shape[1]] = f[rows]
+            buf[:, col : col + f.shape[1]] = np.take(f, rows, axis=0)
             col += f.shape[1]
         return _HEADER.pack(monotonic()) + buf.tobytes()
 

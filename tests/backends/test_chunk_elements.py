@@ -4,8 +4,9 @@ A pool task executes its chunk as a single ``execute_loop`` over
 ``chunk.elements``. For a colored loop those elements come from several
 same-color plan blocks, and the result must be *bit-identical* to running
 the chunk's blocks one by one in ``chunk.blocks`` order: same-color blocks
-increment disjoint rows and ``np.add.at`` applies increments in index
-order, so every row gets the same increments in the same order.
+increment disjoint rows and the per-component ``ufunc.at`` scatter applies
+increments in index order, so every row gets the same increments in the
+same order.
 
 Covered: every colored loop of the three apps — Airfoil ``res_calc`` and
 ``bres_calc``, heat's ``flux``, shallow water's ``sw_flux`` and

@@ -42,6 +42,36 @@ class TestParser:
         assert captured.out == ""
         assert "usage:" in captured.err and argv[1] in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["airfoil", "--ni", "-4"],
+            ["airfoil", "--ni", "9"],
+            ["airfoil", "--nj", "1"],
+            ["airfoil", "--block-size", "0"],
+            ["heat", "--ni", "6"],
+            ["heat", "--nj", "1"],
+            ["dist", "--ni", "7"],
+            ["dist", "--nj", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_mesh_size_exits_2_before_running(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and argv[1] in captured.err
+
+    @pytest.mark.parametrize("command", ["airfoil", "heat", "dist"])
+    def test_smallest_mesh_parses(self, command):
+        args = build_parser().parse_args([command, "--ni", "8", "--nj", "2"])
+        assert (args.ni, args.nj) == (8, 2)
+
+    def test_smallest_block_size_parses(self):
+        assert build_parser().parse_args(["airfoil", "--block-size", "1"]).block_size == 1
+
 
 class TestCommands:
     def test_info(self, capsys):
